@@ -89,9 +89,9 @@ def _cmd_infwidth_predict(args):
     post = post_fn(kp, train_ids, test_ids, y[:n_train])
     save_posterior_jsonl(post, args.out, ids=test_ids)
     if args.cov_out:
-        from .kernels import KernelPair, save_kernel_pair as _save
-
-        _save(KernelPair(K=post.cov, Theta=post.cov, layer=arch.depth), args.cov_out)
+        # np.save on a path would append ".npy"; an open file keeps the path exact.
+        with open(args.cov_out, "wb") as f:
+            np.save(f, post.cov)
     if args.test_labels:
         stats = loss_stats(post, np.load(args.test_labels))
         print(stats.to_json())

@@ -4,6 +4,11 @@ A plan fixes a master seed, a test/validation split that is byte-identical
 across all training sizes, and nested training subsets, then runs the
 infinite-width (and optionally Bayesian and finite-width) pipeline for
 each cell and persists rows for plotting and power-law fitting.
+
+The analytic cells of one lambda_b share a single kernel over the largest
+training set plus the validation and test points; each cell indexes into
+it. Only one lambda_b's kernel is alive at a time, so peak memory is the
+largest cell's kernel.
 """
 
 from dataclasses import dataclass, field, replace
@@ -24,7 +29,7 @@ from .infwidth import (
     gd_evolve,
 )
 from .loss_stats import loss_stats
-from .finite_width import TrainConfig, run_ensemble
+from .finite_width import TrainConfig, _jackknife_se, run_ensemble
 from .scaling import epsilon_flatness_check, fit_power_law
 
 __all__ = ["ExperimentPlan", "RunResult", "run_plan", "emit_plot_data", "load_plan_file"]
@@ -121,44 +126,32 @@ def _splits(plan, dataset):
     return test_ids, val_ids, pool
 
 
-def _infinite_cell(dataset, arch, train_rows, val_rows, test_rows, bayesian):
-    """Posterior over the test rows for one (size, lambda_b) cell.
+def _infinite_cell(kp, labels, train_ids, val_ids, test_ids, bayesian):
+    """Posterior over test_ids for one (size, lambda_b) cell of a shared kernel.
 
-    Falls back from the closed form to the iterated GD map when the
-    train NTK is ill-conditioned. The Bayesian path has no fallback.
+    Index arrays and labels refer to the rows of kp. Falls back from the
+    closed form to the iterated GD map when the train NTK is
+    ill-conditioned. The Bayesian path has no fallback.
     """
-    X = np.vstack(
-        [
-            dataset.inputs.points[train_rows],
-            dataset.inputs.points[val_rows],
-            dataset.inputs.points[test_rows],
-        ]
-    )
-    kp = build_kernel_pair(InputSet(X), arch)
-    n_tr, n_val, n_te = len(train_rows), len(val_rows), len(test_rows)
-    train_ids = np.arange(n_tr)
-    side_ids = np.arange(n_tr, n_tr + n_val + n_te)
-    test_only = np.arange(n_tr + n_val, n_tr + n_val + n_te)
-    y_train = dataset.labels[train_rows]
-    y_val = dataset.labels[val_rows]
-
+    y_train = labels[train_ids]
     if bayesian:
-        return bayesian_posterior(kp, train_ids, test_only, y_train)
+        return bayesian_posterior(kp, train_ids, test_ids, y_train)
     try:
-        return closed_form_posterior(kp, train_ids, test_only, y_train)
+        return closed_form_posterior(kp, train_ids, test_ids, y_train)
     except IllConditionedError:
+        n_val = val_ids.size
         policy = EarlyStopPolicy(
             validation_ids=np.arange(n_val),
-            validation_labels=y_val,
+            validation_labels=labels[val_ids],
             patience=20,
             check_every=100,
             max_steps=1_000_000,
         )
+        side_ids = np.concatenate([val_ids, test_ids])
         post = gd_evolve(kp, train_ids, side_ids, y_train, eta=None, stop=policy)
-        cov = post.cov[np.ix_(np.arange(n_val, n_val + n_te), np.arange(n_val, n_val + n_te))]
         return PredictivePosterior(
             mean=post.mean[n_val:],
-            cov=0.5 * (cov + cov.T),
+            cov=post.cov[n_val:, n_val:],
             method="iterative",
             steps_used=post.steps_used,
         )
@@ -176,21 +169,34 @@ def run_plan(plan, dataset):
     member_rows = []
     skipped = []
     series_values = {}  # (series, quantity) -> list of (N_D, value)
+    series = []
+    if plan.infinite_width:
+        series.append(("infinite", False))
+    if plan.bayesian:
+        series.append(("bayesian", True))
+
+    # Every cell trains on a prefix of pool and shares val/test, so one
+    # kernel over [pool[:max N_D], val, test] holds all of a lambda_b's cells.
+    n_max = max(plan.sizes)
+    kernel_rows = np.concatenate([pool[:n_max], val_ids, test_ids])
+    kernel_inputs = InputSet(dataset.inputs.points[kernel_rows])
+    kernel_labels = dataset.labels[kernel_rows]
+    kernel_val = np.arange(n_max, n_max + val_ids.size)
+    kernel_test = np.arange(n_max + val_ids.size, kernel_rows.size)
 
     for lam_b in lambdas:
         arch = replace(plan.arch, lambda_b=float(lam_b))
+        # Release the previous kernel and posterior before building the next.
+        kp = post = None
+        if series:
+            kp = build_kernel_pair(kernel_inputs, arch)
         for n_d in plan.sizes:
             train_rows = pool[:n_d]
             cell = {"N_D": n_d, "lambda_b": float(lam_b)}
-            series = []
-            if plan.infinite_width:
-                series.append(("infinite", False))
-            if plan.bayesian:
-                series.append(("bayesian", True))
             for name, is_bayes in series:
                 try:
                     post = _infinite_cell(
-                        dataset, arch, train_rows, val_ids, test_ids, is_bayes
+                        kp, kernel_labels, np.arange(n_d), kernel_val, kernel_test, is_bayes
                     )
                 except (IllConditionedError, NtkuqError) as exc:
                     skipped.append({"series": name, **cell, "error": str(exc)})
@@ -312,16 +318,6 @@ def run_plan(plan, dataset):
         skipped=skipped,
         config_hash=cfg_hash,
     )
-
-
-def _jackknife_se(losses, stat):
-    n = len(losses)
-    if n < 3:
-        return float("nan")
-    losses = np.asarray(losses)
-    loo = np.array([stat(np.delete(losses, i)) for i in range(n)])
-    center = loo.mean()
-    return float(np.sqrt((n - 1) / n * np.sum((loo - center) ** 2)))
 
 
 def emit_plot_data(store_dir, quantity, out_path=None):

@@ -285,18 +285,15 @@ def train_with_early_stopping(net, split, cfg, val_loss_fn=None):
     )
 
 
-def _jackknife_eps_se(losses):
-    n = losses.size
+def _jackknife_se(values, stat):
+    """Leave-one-out jackknife standard error of stat over values."""
+    n = len(values)
     if n < 3:
         return float("nan")
-    eps_loo = np.empty(n)
-    for i in range(n):
-        rest = np.delete(losses, i)
-        mu = rest.mean()
-        sd = rest.std(ddof=1)
-        eps_loo[i] = sd / mu if mu > 0 else np.nan
-    center = np.mean(eps_loo)
-    return float(np.sqrt((n - 1) / n * np.sum((eps_loo - center) ** 2)))
+    values = np.asarray(values)
+    loo = np.array([stat(np.delete(values, i)) for i in range(n)])
+    center = loo.mean()
+    return float(np.sqrt((n - 1) / n * np.sum((loo - center) ** 2)))
 
 
 def run_ensemble(split, arch, cfg, n_members, base_seed):
@@ -323,7 +320,9 @@ def run_ensemble(split, arch, cfg, n_members, base_seed):
         mu = float(np.mean(ok))
         var = float(np.var(ok, ddof=1))
         eps = float(np.sqrt(var) / mu) if mu > 0 else float("nan")
-        eps_se = _jackknife_eps_se(ok)
+        eps_se = _jackknife_se(
+            ok, lambda a: a.std(ddof=1) / a.mean() if a.mean() > 0 else np.nan
+        )
     else:
         mu = var = eps = eps_se = float("nan")
     return EnsembleSummary(

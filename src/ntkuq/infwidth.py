@@ -144,11 +144,9 @@ def _check_conditioning(A, name):
 
 def _posterior_from_blocks(M_A, M_B, K_A, K_B, K_BB, y, method):
     # T = M_A^{-1} M_B via a symmetric solve; explicit inverses avoided.
-    T = scipy.linalg.solve(M_A, np.column_stack([M_B, K_B]), assume_a="sym")
-    TM = T[:, : M_B.shape[1]]
-    TK = T[:, M_B.shape[1] :]
-    mean = TM.T @ y
-    cov = K_BB - TM.T @ K_B - K_B.T @ TM + TM.T @ K_A @ TM
+    T = scipy.linalg.solve(M_A, M_B, assume_a="sym")
+    mean = T.T @ y
+    cov = K_BB - T.T @ K_B - K_B.T @ T + T.T @ K_A @ T
     cov = 0.5 * (cov + cov.T)
     return PredictivePosterior(mean=mean, cov=cov, method=method, steps_used=0)
 
@@ -174,8 +172,7 @@ def bayesian_posterior(kp, train_ids, test_ids, labels):
     _, _, K_A, K_B, K_BB = _blocks(kp, train_ids, test_ids)
     y = _as_label_matrix(labels, K_A.shape[0])
     _check_conditioning(K_A, "K_A")
-    post = _posterior_from_blocks(K_A, K_B, K_A, K_B, K_BB, y, "bayesian")
-    return post
+    return _posterior_from_blocks(K_A, K_B, K_A, K_B, K_BB, y, "bayesian")
 
 
 def _validation_mean_loss(mean, cov, val_rows, val_labels):

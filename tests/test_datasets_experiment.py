@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 import json
 import struct
 
@@ -20,6 +21,16 @@ from ntkuq import (
     save_event_vectors,
 )
 from ntkuq.cli import main as cli_main
+from ntkuq.errors import IllConditionedError
+from ntkuq.infwidth import (
+    EarlyStopPolicy,
+    PredictivePosterior,
+    bayesian_posterior,
+    closed_form_posterior,
+    gd_evolve,
+)
+from ntkuq.kernels import build_kernel_pair
+from ntkuq.loss_stats import loss_stats
 
 
 # ---------------------------------------------------------------- datasets
@@ -211,6 +222,135 @@ def test_run_plan_nested_subsets():
     assert np.array_equal(np.sort(all_ids), np.arange(ds.count))
 
 
+def test_run_plan_builds_one_kernel_per_lambda_b(tmp_path, monkeypatch):
+    from ntkuq import experiment
+    from ntkuq.finite_width import TrainConfig
+
+    calls = []
+
+    def counting_build(inputs, arch):
+        calls.append(arch.lambda_b)
+        return build_kernel_pair(inputs, arch)
+
+    monkeypatch.setattr(experiment, "build_kernel_pair", counting_build)
+    plan = _small_plan(tmp_path / "a", lambda_b_sweep=[0.5, 1.0, 2.0], bayesian=True)
+    result = run_plan(plan, _small_dataset())
+    assert calls == [0.5, 1.0, 2.0]
+    assert len(result.infwidth_rows) == 18
+
+    calls.clear()
+    plan = _small_plan(
+        tmp_path / "b",
+        sizes=[4, 8],
+        infinite_width=False,
+        ensemble_size=2,
+        train_cfg=TrainConfig(eta=0.5, patience=5, max_epochs=10),
+    )
+    result = run_plan(plan, _small_dataset())
+    assert calls == []
+    assert result.infwidth_rows == [] and len(result.summary_rows) == 2
+
+
+def _per_cell_kernel_rows(plan, ds):
+    """Every analytic cell the long way: stack its own [train, val, test]
+    points, build their kernel and run the closed-form, Bayesian or GD-map
+    route with the sweep's fallback policy."""
+    from ntkuq.experiment import _splits
+
+    test_ids, val_ids, pool = _splits(plan, ds)
+    n_val, n_te = val_ids.size, test_ids.size
+    rows, skipped = [], []
+    for lam_b in plan.lambda_b_sweep or [plan.arch.lambda_b]:
+        arch = replace(plan.arch, lambda_b=float(lam_b))
+        for n_d in plan.sizes:
+            tr = pool[:n_d]
+            X = ds.inputs.points
+            X = np.vstack([X[tr], X[val_ids], X[test_ids]])
+            kp = build_kernel_pair(InputSet(X), arch)
+            train = np.arange(n_d)
+            side = np.arange(n_d, n_d + n_val + n_te)
+            test = side[n_val:]
+            y = ds.labels[tr]
+            for name in ("infinite", "bayesian"):
+                try:
+                    if name == "bayesian":
+                        post = bayesian_posterior(kp, train, test, y)
+                    else:
+                        try:
+                            post = closed_form_posterior(kp, train, test, y)
+                        except IllConditionedError:
+                            policy = EarlyStopPolicy(
+                                validation_ids=np.arange(n_val),
+                                validation_labels=ds.labels[val_ids],
+                                patience=20,
+                                check_every=100,
+                                max_steps=1_000_000,
+                            )
+                            full = gd_evolve(kp, train, side, y, eta=None, stop=policy)
+                            keep = np.arange(n_val, n_val + n_te)
+                            cov = full.cov[np.ix_(keep, keep)]
+                            post = PredictivePosterior(
+                                mean=full.mean[n_val:],
+                                cov=0.5 * (cov + cov.T),
+                                method="iterative",
+                                steps_used=full.steps_used,
+                            )
+                except IllConditionedError:
+                    skipped.append((name, n_d, float(lam_b)))
+                    continue
+                stats = loss_stats(post, ds.labels[test_ids])
+                rows.append(
+                    [name, n_d, float(lam_b), stats.mu_L, stats.var_L, stats.eps_L]
+                    + [post.method, post.steps_used]
+                )
+    return rows, skipped
+
+
+@pytest.mark.parametrize(
+    "sizes, val_size, exact",
+    [
+        # numpy computes X X^T with BLAS syrk, whose rounding of an entry
+        # depends on where its rows fall in the 8-row blocks. With every
+        # split a multiple of 8, a per-cell kernel rounds exactly like the
+        # shared one, so the rows must match bit for bit.
+        ([8, 16, 24], 8, True),
+        ([4, 8, 16], 4, False),
+    ],
+)
+def test_run_plan_rows_match_per_cell_kernels(tmp_path, sizes, val_size, exact):
+    from ntkuq.experiment import _splits
+
+    plan = _small_plan(
+        tmp_path, sizes=sizes, val_size=val_size, lambda_b_sweep=[0.5, 2.0], bayesian=True
+    )
+    ds = _small_dataset()
+    # Repeat a training point that only the largest cell uses: its train
+    # block is then singular, so the closed form falls back to the GD map
+    # and the Bayesian cell is skipped, while the smaller cells solve.
+    _, _, pool = _splits(plan, ds)
+    X, Y = ds.inputs.points.copy(), ds.labels.copy()
+    X[pool[sizes[1] + 2]], Y[pool[sizes[1] + 2]] = X[pool[1]], Y[pool[1]]
+    ds = Dataset(inputs=InputSet(X), labels=Y)
+
+    result = run_plan(plan, ds)
+    want_rows, want_skipped = _per_cell_kernel_rows(plan, ds)
+    got = [
+        [r[0], r[1], float(r[2]), float(r[3]), float(r[4]), float(r[5]), r[6], r[7]]
+        for r in result.infwidth_rows
+    ]
+    assert {r[6] for r in got} == {"closed_form", "bayesian", "iterative"}
+    assert want_skipped == [("bayesian", sizes[-1], 0.5), ("bayesian", sizes[-1], 2.0)]
+    assert [(s["series"], s["N_D"], s["lambda_b"]) for s in result.skipped] == want_skipped
+    if exact:
+        assert got == want_rows
+    else:
+        # Otherwise only the last bits of the kernel may move.
+        assert [r[:3] + r[6:] for r in got] == [r[:3] + r[6:] for r in want_rows]
+        np.testing.assert_allclose(
+            [r[3:6] for r in got], [r[3:6] for r in want_rows], rtol=1e-12, atol=0
+        )
+
+
 def test_run_plan_too_small_dataset(tmp_path):
     plan = _small_plan(tmp_path)
     with pytest.raises(ValueError):
@@ -341,6 +481,8 @@ def test_cli_infwidth_predict(tmp_path, capsys):
             str(tmp_path / "yt.npy"),
             "--out",
             str(tmp_path / "post.jsonl"),
+            "--cov-out",
+            str(tmp_path / "cov.bin"),
         ]
     )
     assert rc == 0
@@ -348,6 +490,11 @@ def test_cli_infwidth_predict(tmp_path, capsys):
     assert rec["n_test"] == 2
     assert rec["mu_L"] > 0
     assert (tmp_path / "post.jsonl").exists()
+    # the covariance lands at exactly the given path, as one .npy matrix
+    assert not (tmp_path / "cov.bin.npy").exists()
+    kp = build_kernel_pair(InputSet(X), ArchitectureConfig(depth=2, input_dim=3))
+    post = closed_form_posterior(kp, np.arange(8), np.arange(8, 10), y)
+    np.testing.assert_array_equal(np.load(tmp_path / "cov.bin"), post.cov)
 
 
 def test_cli_ensemble_run(capsys):

@@ -291,13 +291,13 @@ def test_divergence_recorded():
 
 
 def test_ensemble_arithmetic_and_exclusion():
-    from ntkuq.finite_width import EnsembleRunRecord, EnsembleSummary, _jackknife_eps_se
+    from ntkuq.finite_width import EnsembleRunRecord, EnsembleSummary, _jackknife_se
 
     losses = np.array([1.0, 2.0, 3.0])
     assert np.mean(losses) == 2.0
     assert np.var(losses, ddof=1) == 1.0
     assert np.sqrt(np.var(losses, ddof=1)) / np.mean(losses) == 0.5
-    se = _jackknife_eps_se(losses)
+    se = _jackknife_se(losses, lambda a: a.std(ddof=1) / a.mean())
     assert np.isfinite(se) and se > 0
 
 
