@@ -8,7 +8,10 @@ each cell and persists rows for plotting and power-law fitting.
 The analytic cells of one lambda_b share a single kernel over the largest
 training set plus the validation and test points; each cell indexes into
 it. Only one lambda_b's kernel is alive at a time, so peak memory is the
-largest cell's kernel.
+largest cell's kernel. Bayesian cells use K alone, which does not depend
+on lambda_b, so each is computed once per size and its row repeated for
+every lambda_b. A plan whose analytic cells are all Bayesian builds one
+kernel.
 """
 
 from dataclasses import dataclass, field, replace
@@ -157,6 +160,18 @@ def _infinite_cell(kp, labels, train_ids, val_ids, test_ids, bayesian):
         )
 
 
+def _cell_scalars(kp, labels, n_d, val_ids, test_ids, bayesian):
+    """(loss stats, method, steps_used) of one cell, or the error that skips it.
+
+    Returns scalars only, so no posterior outlives its cell.
+    """
+    try:
+        post = _infinite_cell(kp, labels, np.arange(n_d), val_ids, test_ids, bayesian)
+    except (IllConditionedError, NtkuqError) as exc:
+        return str(exc)
+    return loss_stats(post, labels[test_ids]), post.method, post.steps_used
+
+
 def run_plan(plan, dataset):
     """Execute every (size, lambda_b) cell of a plan and persist results."""
     os.makedirs(plan.output_dir, exist_ok=True)
@@ -183,25 +198,33 @@ def run_plan(plan, dataset):
     kernel_labels = dataset.labels[kernel_rows]
     kernel_val = np.arange(n_max, n_max + val_ids.size)
     kernel_test = np.arange(n_max + val_ids.size, kernel_rows.size)
+    # lambda_b enters Theta only, so a Bayesian cell (which uses K alone) is
+    # computed once per N_D and its scalars are reused for every lambda_b.
+    bayes_cells = {}
 
     for lam_b in lambdas:
         arch = replace(plan.arch, lambda_b=float(lam_b))
-        # Release the previous kernel and posterior before building the next.
-        kp = post = None
-        if series:
+        # Release the previous kernel before building the next; after the
+        # first lambda_b, only the infinite-width cells need one.
+        kp = None
+        if plan.infinite_width or (plan.bayesian and not bayes_cells):
             kp = build_kernel_pair(kernel_inputs, arch)
         for n_d in plan.sizes:
             train_rows = pool[:n_d]
             cell = {"N_D": n_d, "lambda_b": float(lam_b)}
             for name, is_bayes in series:
-                try:
-                    post = _infinite_cell(
-                        kp, kernel_labels, np.arange(n_d), kernel_val, kernel_test, is_bayes
+                if is_bayes and n_d in bayes_cells:
+                    outcome = bayes_cells[n_d]
+                else:
+                    outcome = _cell_scalars(
+                        kp, kernel_labels, n_d, kernel_val, kernel_test, is_bayes
                     )
-                except (IllConditionedError, NtkuqError) as exc:
-                    skipped.append({"series": name, **cell, "error": str(exc)})
+                    if is_bayes:
+                        bayes_cells[n_d] = outcome
+                if isinstance(outcome, str):
+                    skipped.append({"series": name, **cell, "error": outcome})
                     continue
-                stats = loss_stats(post, dataset.labels[test_ids])
+                stats, method, steps_used = outcome
                 infwidth_rows.append(
                     [
                         name,
@@ -210,8 +233,8 @@ def run_plan(plan, dataset):
                         _fmt(stats.mu_L),
                         _fmt(stats.var_L),
                         _fmt(stats.eps_L),
-                        post.method,
-                        post.steps_used,
+                        method,
+                        steps_used,
                         cfg_hash,
                         plan.master_seed,
                     ]

@@ -126,48 +126,63 @@ def init_network(arch, seed):
 
 
 def _forward_trace(net, X):
-    """Preactivations z^(1) .. z^(L) for each example, as (N, n_ell) arrays."""
-    zs = []
+    """Preactivations and layer inputs of a batch, as (N, n_ell) arrays.
+
+    Returns (zs, acts): zs[ell] = acts[ell] @ W^T + b, where acts[0] is X
+    and acts[ell] = erf(zs[ell - 1]). The readout zs[-1] is linear.
+    """
+    zs, acts = [], []
     a = np.atleast_2d(np.asarray(X, dtype=float))
     for ell, (W, b) in enumerate(zip(net.weights, net.biases)):
+        if ell > 0:
+            a = erf(zs[-1])
         if a.shape[1] != W.shape[1]:
             raise ValueError(
                 "layer %d expects %d inputs, got %d" % (ell + 1, W.shape[1], a.shape[1])
             )
-        z = a @ W.T + b
-        zs.append(z)
-        a = erf(z)
-    return zs
+        acts.append(a)
+        zs.append(a @ W.T + b)
+    return zs, acts
 
 
 def forward(net, X):
     """Network outputs for a batch of inputs; linear readout at the top."""
-    return _forward_trace(net, X)[-1]
+    return _forward_trace(net, X)[0][-1]
 
 
-def mse_loss(net, X, Y):
-    """Training loss: 1/(n_out N) * sum over examples of half squared error."""
+def _label_matrix(Y, shape):
+    """Y as a float array of the outputs' (N, n_out) shape; never broadcast."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    out = forward(net, X)
-    if Y.shape != out.shape:
-        raise ValueError("label shape %s does not match output %s" % (Y.shape, out.shape))
+    if Y.shape != shape:
+        raise ValueError("label shape %s does not match output %s" % (Y.shape, shape))
+    return Y
+
+
+def _mse(out, Y):
     n, n_out = out.shape
     return float(np.sum((out - Y) ** 2) / (2.0 * n_out * n))
 
 
-def _gradients(net, X, Y):
-    """Backprop gradients of mse_loss w.r.t. every weight and bias."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    zs = _forward_trace(net, X)
+def mse_loss(net, X, Y):
+    """Training loss: 1/(n_out N) * sum over examples of half squared error."""
+    out = forward(net, X)
+    return _mse(out, _label_matrix(Y, out.shape))
+
+
+def _gradients(net, X, Y, trace=None):
+    """Backprop gradients of mse_loss w.r.t. every weight and bias.
+
+    trace, when given, is _forward_trace(net, X) and is not recomputed.
+    """
+    zs, acts = _forward_trace(net, X) if trace is None else trace
+    Y = _label_matrix(Y, zs[-1].shape)
     n, n_out = zs[-1].shape
     grad_w = [None] * net.depth
     grad_b = [None] * net.depth
     # dL/dz^(L)
     delta = (zs[-1] - Y) / (n_out * n)
     for ell in range(net.depth - 1, -1, -1):
-        a_prev = X if ell == 0 else erf(zs[ell - 1])
-        grad_w[ell] = delta.T @ a_prev
+        grad_w[ell] = delta.T @ acts[ell]
         grad_b[ell] = np.sum(delta, axis=0)
         if ell > 0:
             dact = _ERF_DERIV_COEF * np.exp(-zs[ell - 1] ** 2)
@@ -187,7 +202,12 @@ def gd_epoch(net, X, Y, cfg):
     Weights move with eta * lambda_w / fan_in; biases with the per-layer
     lambda_b scale consistent with the analytic NTK recursion.
     """
-    grad_w, grad_b = _gradients(net, X, Y)
+    return _gd_step(net, X, Y, cfg, _forward_trace(net, X))
+
+
+def _gd_step(net, X, Y, cfg, trace):
+    # gd_epoch from trace = _forward_trace(net, X) of the current weights.
+    grad_w, grad_b = _gradients(net, X, Y, trace)
     for ell in range(net.depth):
         fan_in = net.weights[ell].shape[1]
         net.weights[ell] -= cfg.eta * (cfg.lambda_w / fan_in) * grad_w[ell]
@@ -201,8 +221,8 @@ def adam_epoch(net, X, Y, cfg, opt, rng):
     Plain Adam on all parameters; the learning-rate tensor is not applied.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = X.shape[0]
+    Y = _label_matrix(Y, (n, net.weights[-1].shape[0]))
     batch = min(cfg.minibatch, n)
     order = rng.permutation(n)
     for start in range(0, n, batch):
@@ -228,8 +248,12 @@ def train_with_early_stopping(net, split, cfg, val_loss_fn=None):
     split is a dict with x_train/y_train/x_val/y_val/x_test/y_test.
     Best-validation parameters are restored before the single test-loss
     evaluation. val_loss_fn overrides the validation metric (test hook).
+
+    The training batch goes through the network once per epoch: the pass
+    after each update gives the divergence check its train loss and the
+    next GD step its gradient.
     """
-    x_tr, y_tr = split["x_train"], split["y_train"]
+    x_tr = split["x_train"]
     x_val, y_val = split["x_val"], split["y_val"]
     x_te, y_te = split["x_test"], split["y_test"]
 
@@ -239,7 +263,9 @@ def train_with_early_stopping(net, split, cfg, val_loss_fn=None):
     opt = AdamState.zeros_like(net) if cfg.optimizer == "adam" else None
     rng = np.random.default_rng(cfg.seed)
 
-    initial_train = mse_loss(net, x_tr, y_tr)
+    trace = _forward_trace(net, x_tr)
+    y_tr = _label_matrix(split["y_train"], trace[0][-1].shape)
+    initial_train = _mse(trace[0][-1], y_tr)
     best_val = val_loss_fn(net, 0)
     best_params = net.copy()
     bad_epochs = 0
@@ -249,9 +275,10 @@ def train_with_early_stopping(net, split, cfg, val_loss_fn=None):
         if cfg.optimizer == "adam":
             adam_epoch(net, x_tr, y_tr, cfg, opt, rng)
         else:
-            gd_epoch(net, x_tr, y_tr, cfg)
+            _gd_step(net, x_tr, y_tr, cfg, trace)
         epoch += 1
-        train_loss = mse_loss(net, x_tr, y_tr)
+        trace = _forward_trace(net, x_tr)
+        train_loss = _mse(trace[0][-1], y_tr)
         if not np.isfinite(train_loss) or train_loss > 1e6 * max(initial_train, 1e-300):
             stop_reason = "divergence"
             break

@@ -238,6 +238,15 @@ def test_run_plan_builds_one_kernel_per_lambda_b(tmp_path, monkeypatch):
     assert calls == [0.5, 1.0, 2.0]
     assert len(result.infwidth_rows) == 18
 
+    # Bayesian cells use K alone, which the first lambda_b's kernel holds.
+    calls.clear()
+    plan = _small_plan(
+        tmp_path / "c", lambda_b_sweep=[0.5, 1.0, 2.0], bayesian=True, infinite_width=False
+    )
+    result = run_plan(plan, _small_dataset())
+    assert calls == [0.5]
+    assert len(result.infwidth_rows) == 9
+
     calls.clear()
     plan = _small_plan(
         tmp_path / "b",
@@ -249,6 +258,35 @@ def test_run_plan_builds_one_kernel_per_lambda_b(tmp_path, monkeypatch):
     result = run_plan(plan, _small_dataset())
     assert calls == []
     assert result.infwidth_rows == [] and len(result.summary_rows) == 2
+
+
+def test_run_plan_solves_each_bayesian_cell_once(tmp_path, monkeypatch):
+    # K does not depend on lambda_b, so neither does a Bayesian cell.
+    from ntkuq import experiment
+
+    calls = []
+
+    def counting_bayes(kp, train_ids, test_ids, labels):
+        calls.append(train_ids.size)
+        if train_ids.size == 16:
+            raise IllConditionedError("K_A is singular")
+        return bayesian_posterior(kp, train_ids, test_ids, labels)
+
+    monkeypatch.setattr(experiment, "bayesian_posterior", counting_bayes)
+    lambdas = [0.5, 1.0, 2.0]
+    plan = _small_plan(tmp_path, lambda_b_sweep=lambdas, bayesian=True)
+    result = run_plan(plan, _small_dataset())
+    assert calls == [4, 8, 16]
+    bayes = [r for r in result.infwidth_rows if r[0] == "bayesian"]
+    assert [(r[1], float(r[2])) for r in bayes] == [
+        (n, lam) for lam in lambdas for n in (4, 8)
+    ]
+    # every column but lambda_b repeats the first lambda_b's row
+    first = {r[1]: r[:2] + r[3:] for r in bayes[:2]}
+    assert all(r[:2] + r[3:] == first[r[1]] for r in bayes)
+    assert [(s["series"], s["N_D"], s["lambda_b"]) for s in result.skipped] == [
+        ("bayesian", 16, lam) for lam in lambdas
+    ]
 
 
 def _per_cell_kernel_rows(plan, ds):

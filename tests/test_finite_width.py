@@ -17,7 +17,8 @@ from ntkuq import (
     run_ensemble,
     train_with_early_stopping,
 )
-from ntkuq.finite_width import _gradients
+from ntkuq import finite_width
+from ntkuq.finite_width import EnsembleRunRecord, _gradients
 
 
 def _small_arch(depth=3, width=8, d=4, n_out=2):
@@ -181,7 +182,7 @@ def test_criticality_preactivation_magnitudes():
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     from ntkuq.finite_width import _forward_trace
 
-    zs = _forward_trace(net, X)
+    zs, _ = _forward_trace(net, X)
     mags = [float(np.mean(z**2)) for z in zs]
     assert max(mags) / min(mags) < 2.0
 
@@ -288,6 +289,95 @@ def test_divergence_recorded():
     rec = train_with_early_stopping(init_network(arch, seed=17), split, cfg)
     assert rec.stop_reason == "divergence"
     assert np.isnan(rec.final_test_loss)
+
+
+def _public_call_training(net, split, cfg, val_loss_fn=None):
+    """The GD early-stopping loop written with public calls only: gd_epoch,
+    then mse_loss on the training set for the divergence check, then the
+    validation loss."""
+    x_tr, y_tr = split["x_train"], split["y_train"]
+    if val_loss_fn is None:
+        val_loss_fn = lambda n_, epoch: mse_loss(n_, split["x_val"], split["y_val"])
+    initial_train = mse_loss(net, x_tr, y_tr)
+    best_val = val_loss_fn(net, 0)
+    best = copy.deepcopy(net)
+    bad_epochs = 0
+    stop_reason = "max_epochs"
+    epoch = 0
+    while epoch < cfg.max_epochs:
+        gd_epoch(net, x_tr, y_tr, cfg)
+        epoch += 1
+        train_loss = mse_loss(net, x_tr, y_tr)
+        if not np.isfinite(train_loss) or train_loss > 1e6 * max(initial_train, 1e-300):
+            return EnsembleRunRecord(cfg.seed, float("nan"), float(best_val), epoch, "divergence")
+        val = val_loss_fn(net, epoch)
+        if val < best_val:
+            best_val, best, bad_epochs = val, copy.deepcopy(net), 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= cfg.patience:
+                stop_reason = "patience"
+                break
+    test_loss = mse_loss(best, split["x_test"], split["y_test"])
+    return EnsembleRunRecord(cfg.seed, test_loss, float(best_val), epoch, stop_reason)
+
+
+@pytest.mark.parametrize(
+    "arch, cfg, stop_reason",
+    [
+        (_small_arch(width=16), TrainConfig(eta=0.5, max_epochs=60, patience=100), "max_epochs"),
+        (_small_arch(width=16), TrainConfig(eta=0.5, max_epochs=5000, patience=3), "patience"),
+        (_small_arch(depth=2, n_out=1), TrainConfig(eta=1e3, max_epochs=50), "divergence"),
+    ],
+)
+def test_training_loop_matches_public_call_loop(arch, cfg, stop_reason):
+    split = _split(np.random.default_rng(20), arch)
+    rec = train_with_early_stopping(init_network(arch, seed=20), split, cfg)
+    want = _public_call_training(init_network(arch, seed=20), split, cfg)
+    assert rec.stop_reason == stop_reason
+    # repr round-trips every float, so this is == that also holds for NaN
+    assert repr(rec) == repr(want)
+
+    losses = {e: 1.0 / (1 + e % 7) for e in range(cfg.max_epochs + 1)}
+    scripted = lambda n_, e: losses[e]
+    rec = train_with_early_stopping(init_network(arch, seed=21), split, cfg, scripted)
+    want = _public_call_training(init_network(arch, seed=21), split, cfg, scripted)
+    assert repr(rec) == repr(want)
+
+
+def test_training_loop_one_train_pass_per_epoch(monkeypatch):
+    calls = []
+    trace = finite_width._forward_trace
+
+    def counting_trace(net, X):
+        calls.append(len(X))
+        return trace(net, X)
+
+    monkeypatch.setattr(finite_width, "_forward_trace", counting_trace)
+    arch = _small_arch()
+    split = _split(np.random.default_rng(22), arch)
+    epochs = 9
+    cfg = TrainConfig(eta=0.1, max_epochs=epochs, patience=epochs + 1)
+    rec = train_with_early_stopping(init_network(arch, seed=22), split, cfg)
+    assert rec.stop_reason == "max_epochs" and rec.epochs_run == epochs
+    # initial train and validation passes, one of each per epoch, the test pass
+    assert len(calls) == 2 * epochs + 3
+    assert calls.count(len(split["x_train"])) == epochs + 1
+
+
+def test_training_steps_reject_unshaped_labels():
+    # n == n_out: (n,) labels would broadcast against (n, n_out) outputs
+    arch = _small_arch(n_out=2)
+    net = init_network(arch, seed=23)
+    X = np.random.default_rng(23).standard_normal((2, arch.input_dim))
+    Y = np.array([0.5, -0.5])
+    with pytest.raises(ValueError, match="label shape"):
+        mse_loss(net, X, Y)
+    with pytest.raises(ValueError, match="label shape"):
+        gd_epoch(net, X, Y, TrainConfig(eta=0.1))
+    opt = AdamState.zeros_like(net)
+    with pytest.raises(ValueError, match="label shape"):
+        adam_epoch(net, X, Y, TrainConfig(eta=0.1, optimizer="adam"), opt, np.random.default_rng(0))
 
 
 def test_ensemble_arithmetic_and_exclusion():
