@@ -141,11 +141,32 @@ def _cmd_ensemble_run(args):
     )
 
 
+# Every key _plan_from_file reads. Some are read only when others are set
+# (the training keys need ensemble_size >= 2), so the file is checked
+# against this whole list, not against the keys one plan happens to use.
+PLAN_KEYS = (
+    "sizes", "output_dir", "master_seed", "test_size", "val_size", "n_points",
+    "depth", "input_dim", "width", "n_out", "lambda_b", "lambda_w", "lambda_b_sweep",
+    "infinite_width", "bayesian", "ensemble_size",
+    "eta", "optimizer", "patience", "max_epochs",
+    "generator", "data_seed", "noise", "teacher_depth", "teacher_width",
+)
+
+
 def _plan_from_file(args):
     raw = load_plan_file(args.plan)
+    unknown = sorted(set(raw) - set(PLAN_KEYS))
+    if unknown:
+        raise ValueError("unknown plan keys: %s" % ", ".join(unknown))
 
     def get(key, cast, default):
         return cast(raw[key]) if key in raw else default
+
+    def flag(key, default):
+        value = raw.get(key, default).lower()
+        if value not in ("true", "false"):
+            raise ValueError("plan key %s must be true or false, not %r" % (key, raw[key]))
+        return value == "true"
 
     sizes = [int(s) for s in raw["sizes"].split(",")]
     input_dim = get("input_dim", int, 8)
@@ -177,8 +198,8 @@ def _plan_from_file(args):
         val_size=get("val_size", int, 16),
         ensemble_size=get("ensemble_size", int, 0),
         train_cfg=train_cfg,
-        infinite_width=raw.get("infinite_width", "true").lower() != "false",
-        bayesian=raw.get("bayesian", "false").lower() == "true",
+        infinite_width=flag("infinite_width", "true"),
+        bayesian=flag("bayesian", "false"),
         lambda_b_sweep=[float(v) for v in sweep.split(",") if v],
     )
     n_points = get(

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 
-from .kernels import InputSet
+from .kernels import InputSet, label_matrix
 from .finite_width import init_network, forward
 
 __all__ = [
@@ -29,14 +29,7 @@ class Dataset:
     normalization: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        labels = np.atleast_2d(np.asarray(self.labels, dtype=float))
-        if labels.shape[0] != self.inputs.count and labels.shape[1] == self.inputs.count:
-            labels = labels.T
-        if labels.shape[0] != self.inputs.count:
-            raise ValueError("label rows do not match input rows")
-        if not np.all(np.isfinite(labels)):
-            raise ValueError("labels contain non-finite entries")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", label_matrix(self.labels, self.inputs.count))
 
     @property
     def count(self):

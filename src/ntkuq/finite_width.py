@@ -13,6 +13,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DivergenceError
+from .kernels import label_matrix
 
 __all__ = [
     "MlpState",
@@ -150,14 +151,6 @@ def forward(net, X):
     return _forward_trace(net, X)[0][-1]
 
 
-def _label_matrix(Y, shape):
-    """Y as a float array of the outputs' (N, n_out) shape; never broadcast."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.shape != shape:
-        raise ValueError("label shape %s does not match output %s" % (Y.shape, shape))
-    return Y
-
-
 def _mse(out, Y):
     n, n_out = out.shape
     return float(np.sum((out - Y) ** 2) / (2.0 * n_out * n))
@@ -166,16 +159,16 @@ def _mse(out, Y):
 def mse_loss(net, X, Y):
     """Training loss: 1/(n_out N) * sum over examples of half squared error."""
     out = forward(net, X)
-    return _mse(out, _label_matrix(Y, out.shape))
+    return _mse(out, label_matrix(Y, *out.shape))
 
 
 def _gradients(net, X, Y, trace=None):
     """Backprop gradients of mse_loss w.r.t. every weight and bias.
 
-    trace, when given, is _forward_trace(net, X) and is not recomputed.
+    Y is already a label_matrix of the outputs' shape. trace, when given,
+    is _forward_trace(net, X) and is not recomputed.
     """
     zs, acts = _forward_trace(net, X) if trace is None else trace
-    Y = _label_matrix(Y, zs[-1].shape)
     n, n_out = zs[-1].shape
     grad_w = [None] * net.depth
     grad_b = [None] * net.depth
@@ -202,11 +195,12 @@ def gd_epoch(net, X, Y, cfg):
     Weights move with eta * lambda_w / fan_in; biases with the per-layer
     lambda_b scale consistent with the analytic NTK recursion.
     """
-    return _gd_step(net, X, Y, cfg, _forward_trace(net, X))
+    trace = _forward_trace(net, X)
+    return _gd_step(net, X, label_matrix(Y, *trace[0][-1].shape), cfg, trace)
 
 
 def _gd_step(net, X, Y, cfg, trace):
-    # gd_epoch from trace = _forward_trace(net, X) of the current weights.
+    # gd_epoch with normalised labels, from trace = _forward_trace(net, X).
     grad_w, grad_b = _gradients(net, X, Y, trace)
     for ell in range(net.depth):
         fan_in = net.weights[ell].shape[1]
@@ -221,8 +215,13 @@ def adam_epoch(net, X, Y, cfg, opt, rng):
     Plain Adam on all parameters; the learning-rate tensor is not applied.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = label_matrix(Y, X.shape[0], net.weights[-1].shape[0])
+    return _adam_epoch(net, X, Y, cfg, opt, rng)
+
+
+def _adam_epoch(net, X, Y, cfg, opt, rng):
+    # adam_epoch with a 2-D X and normalised labels.
     n = X.shape[0]
-    Y = _label_matrix(Y, (n, net.weights[-1].shape[0]))
     batch = min(cfg.minibatch, n)
     order = rng.permutation(n)
     for start in range(0, n, batch):
@@ -251,20 +250,21 @@ def train_with_early_stopping(net, split, cfg, val_loss_fn=None):
 
     The training batch goes through the network once per epoch: the pass
     after each update gives the divergence check its train loss and the
-    next GD step its gradient.
+    next GD step its gradient. Labels are checked once, before the first
+    epoch.
     """
-    x_tr = split["x_train"]
-    x_val, y_val = split["x_val"], split["y_val"]
+    x_tr = np.atleast_2d(np.asarray(split["x_train"], dtype=float))
     x_te, y_te = split["x_test"], split["y_test"]
-
-    if val_loss_fn is None:
-        val_loss_fn = lambda n_, epoch: mse_loss(n_, x_val, y_val)
 
     opt = AdamState.zeros_like(net) if cfg.optimizer == "adam" else None
     rng = np.random.default_rng(cfg.seed)
 
     trace = _forward_trace(net, x_tr)
-    y_tr = _label_matrix(split["y_train"], trace[0][-1].shape)
+    y_tr = label_matrix(split["y_train"], *trace[0][-1].shape)
+    if val_loss_fn is None:
+        x_val = np.atleast_2d(np.asarray(split["x_val"], dtype=float))
+        y_val = label_matrix(split["y_val"], x_val.shape[0], y_tr.shape[1])
+        val_loss_fn = lambda n_, epoch: _mse(forward(n_, x_val), y_val)
     initial_train = _mse(trace[0][-1], y_tr)
     best_val = val_loss_fn(net, 0)
     best_params = net.copy()
@@ -273,7 +273,7 @@ def train_with_early_stopping(net, split, cfg, val_loss_fn=None):
     epoch = 0
     while epoch < cfg.max_epochs:
         if cfg.optimizer == "adam":
-            adam_epoch(net, x_tr, y_tr, cfg, opt, rng)
+            _adam_epoch(net, x_tr, y_tr, cfg, opt, rng)
         else:
             _gd_step(net, x_tr, y_tr, cfg, trace)
         epoch += 1

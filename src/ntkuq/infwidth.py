@@ -13,6 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DivergenceError, IllConditionedError
+from .kernels import label_matrix
 
 __all__ = [
     "PredictivePosterior",
@@ -33,39 +34,44 @@ DIVERGENCE_FACTOR = 1e6
 class PredictivePosterior:
     """Gaussian posterior over test-point outputs.
 
-    mean has one column per output neuron; cov is shared across output
-    columns and cross-output covariance is exactly zero.
+    mean has one row per test point and one column per output neuron; cov
+    is shared across output columns and cross-output covariance is exactly
+    zero. A diagonal-only posterior gives var (the per-point variances) and
+    cov=None; otherwise var is the diagonal of cov. Give exactly one.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     method: str
     steps_used: int = 0
+    var: np.ndarray = None
 
     def __post_init__(self):
-        mean = np.atleast_2d(np.asarray(self.mean, dtype=float))
-        if mean.shape[0] == 1 and mean.shape[1] > 1 and self.cov is not None:
-            cov_n = np.asarray(self.cov).shape[0]
-            if cov_n == mean.shape[1]:
-                mean = mean.T
-        object.__setattr__(self, "mean", mean)
+        if (self.cov is None) == (self.var is None):
+            raise ValueError("give exactly one of cov and var (diagonal only)")
         if self.cov is None:
-            return
-        cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (mean.shape[0], mean.shape[0]):
-            raise ValueError("cov shape %s does not match %d test points" % (cov.shape, mean.shape[0]))
-        if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-10:
-            raise ValueError("cov is not symmetric within 1e-10")
-        cov = 0.5 * (cov + cov.T)
-        d = np.diag(cov).copy()
-        if np.any(d < -VAR_CLAMP):
-            raise ValueError("cov diagonal below -%g" % VAR_CLAMP)
-        neg = d < 0
-        if np.any(neg):
-            cov = cov.copy()
-            cov[np.diag_indices_from(cov)] = np.where(neg, 0.0, d)
-        cov.setflags(write=False)
-        object.__setattr__(self, "cov", cov)
+            var = np.asarray(self.var, dtype=float)
+            if var.ndim != 1 or not np.all(var >= 0):
+                raise ValueError("var must be a 1-D array of variances >= 0")
+        else:
+            cov = np.asarray(self.cov, dtype=float)
+            if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+                raise ValueError("cov shape %s is not square" % (cov.shape,))
+            if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-10:
+                raise ValueError("cov is not symmetric within 1e-10")
+            cov = 0.5 * (cov + cov.T)
+            d = np.diag(cov).copy()
+            if np.any(d < -VAR_CLAMP):
+                raise ValueError("cov diagonal below -%g" % VAR_CLAMP)
+            neg = d < 0
+            if np.any(neg):
+                cov = cov.copy()
+                cov[np.diag_indices_from(cov)] = np.where(neg, 0.0, d)
+            cov.setflags(write=False)
+            object.__setattr__(self, "cov", cov)
+            var = np.diag(cov)
+        object.__setattr__(self, "mean", label_matrix(self.mean, var.size))
+        object.__setattr__(self, "var", var)
 
     @property
     def n_test(self):
@@ -74,12 +80,6 @@ class PredictivePosterior:
     @property
     def n_out(self):
         return self.mean.shape[1]
-
-    @property
-    def var(self):
-        if self.cov is None:
-            return getattr(self, "diag_var")
-        return np.diag(self.cov)
 
 
 @dataclass(frozen=True)
@@ -98,37 +98,23 @@ class EarlyStopPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "validation_ids", np.asarray(self.validation_ids, dtype=int))
-        labels = np.atleast_2d(np.asarray(self.validation_labels, dtype=float))
-        if labels.shape[0] != self.validation_ids.size:
-            labels = labels.T
+        labels = label_matrix(self.validation_labels, self.validation_ids.size)
         object.__setattr__(self, "validation_labels", labels)
         if self.patience < 1 or self.check_every < 1:
             raise ValueError("patience and check_every must be >= 1")
 
 
-def _as_label_matrix(labels, n_rows):
-    y = np.asarray(labels, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.shape[0] != n_rows:
-        raise ValueError("label rows (%d) do not match train size (%d)" % (y.shape[0], n_rows))
-    if not np.all(np.isfinite(y)):
-        raise ValueError("labels contain non-finite entries")
-    return y
+def _blocks(kp, M, train_ids, test_ids):
+    """(M_A, M_B, K_A, K_B, K_BB) for the matrix M a route solves (Theta or K).
 
-
-def _blocks(kp, train_ids, test_ids):
+    When M is kp.K its blocks are the K blocks, so nothing is copied twice.
+    """
     tr = np.asarray(train_ids, dtype=int)
     te = np.asarray(test_ids, dtype=int)
-    K = kp.K
-    T = kp.Theta
-    return (
-        T[np.ix_(tr, tr)],
-        T[np.ix_(tr, te)],
-        K[np.ix_(tr, tr)],
-        K[np.ix_(tr, te)],
-        K[np.ix_(te, te)],
-    )
+    K_A = kp.K[np.ix_(tr, tr)]
+    K_B = kp.K[np.ix_(tr, te)]
+    M_A, M_B = (K_A, K_B) if M is kp.K else (M[np.ix_(tr, tr)], M[np.ix_(tr, te)])
+    return M_A, M_B, K_A, K_B, kp.K[np.ix_(te, te)]
 
 
 def _check_conditioning(A, name):
@@ -157,8 +143,8 @@ def closed_form_posterior(kp, train_ids, test_ids, labels):
     mean = Theta_B^T Theta_A^{-1} y; cov is the four-term expression
     combining kernel and NTK blocks.
     """
-    Th_A, Th_B, K_A, K_B, K_BB = _blocks(kp, train_ids, test_ids)
-    y = _as_label_matrix(labels, Th_A.shape[0])
+    Th_A, Th_B, K_A, K_B, K_BB = _blocks(kp, kp.Theta, train_ids, test_ids)
+    y = label_matrix(labels, Th_A.shape[0])
     _check_conditioning(Th_A, "Theta_A")
     return _posterior_from_blocks(Th_A, Th_B, K_A, K_B, K_BB, y, "closed_form")
 
@@ -169,8 +155,8 @@ def bayesian_posterior(kp, train_ids, test_ids, labels):
     Substituting Theta -> K in the GD formulas reduces algebraically to
     the usual GP conditional, computed here in the substituted form.
     """
-    _, _, K_A, K_B, K_BB = _blocks(kp, train_ids, test_ids)
-    y = _as_label_matrix(labels, K_A.shape[0])
+    _, _, K_A, K_B, K_BB = _blocks(kp, kp.K, train_ids, test_ids)
+    y = label_matrix(labels, K_A.shape[0])
     _check_conditioning(K_A, "K_A")
     return _posterior_from_blocks(K_A, K_B, K_A, K_B, K_BB, y, "bayesian")
 
@@ -193,7 +179,7 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, stop=None):
     """
     tr = np.asarray(train_ids, dtype=int)
     te = np.asarray(test_ids, dtype=int)
-    y = _as_label_matrix(labels, tr.size)
+    y = label_matrix(labels, tr.size)
     joint = np.concatenate([tr, te])
     n = joint.size
     n_train = tr.size
@@ -293,10 +279,5 @@ def load_posterior_jsonl(path, method="closed_form"):
             ids.append(rec["id"])
             means.append(rec["mean"])
             variances.append(rec["var"])
-    post = PredictivePosterior.__new__(PredictivePosterior)
-    object.__setattr__(post, "mean", np.asarray(means, dtype=float))
-    object.__setattr__(post, "cov", None)
-    object.__setattr__(post, "method", method)
-    object.__setattr__(post, "steps_used", 0)
-    object.__setattr__(post, "diag_var", np.asarray(variances, dtype=float))
+    post = PredictivePosterior(mean=means, cov=None, method=method, var=variances)
     return post, np.asarray(ids)

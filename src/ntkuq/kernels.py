@@ -6,13 +6,14 @@ expectations have closed forms for the erf activation (the arcsine
 kernel family).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import struct
 
 import numpy as np
 
 __all__ = [
     "InputSet",
+    "label_matrix",
     "ArchitectureConfig",
     "KernelPair",
     "erf_pair_expectation",
@@ -46,6 +47,25 @@ class InputSet:
     @property
     def input_dim(self):
         return self.points.shape[1]
+
+
+def label_matrix(values, n_points, n_out=None):
+    """Labels (or posterior means) as a finite float (n_points, n_out) matrix.
+
+    Rows are points and a 1-D array is one column. Nothing is transposed,
+    so a matrix whose rows are not the points is rejected, not guessed at.
+    """
+    y = np.asarray(values, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    if y.ndim != 2 or y.shape[0] != n_points or (n_out is not None and y.shape[1] != n_out):
+        raise ValueError(
+            "label shape %s does not match %d points x %s outputs"
+            % (np.shape(values), n_points, "any" if n_out is None else n_out)
+        )
+    if not np.all(np.isfinite(y)):
+        raise ValueError("labels contain non-finite entries")
+    return y
 
 
 @dataclass(frozen=True)
@@ -84,7 +104,6 @@ class KernelPair:
     K: np.ndarray
     Theta: np.ndarray
     layer: int
-    point_ids: np.ndarray = field(default=None)
 
     def __post_init__(self):
         K = np.asarray(self.K, dtype=float)
@@ -99,18 +118,10 @@ class KernelPair:
         Theta = 0.5 * (Theta + Theta.T)
         if np.any(np.diag(K) < 0):
             raise ValueError("K has negative diagonal entries")
-        ids = self.point_ids
-        if ids is None:
-            ids = np.arange(K.shape[0])
-        ids = np.asarray(ids)
-        if ids.shape != (K.shape[0],):
-            raise ValueError("point_ids length must match matrix size")
         K.setflags(write=False)
         Theta.setflags(write=False)
-        ids.setflags(write=False)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "Theta", Theta)
-        object.__setattr__(self, "point_ids", ids)
 
     @property
     def count(self):

@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 
+from .kernels import label_matrix
+
 __all__ = [
     "LossStats",
     "loss_mean",
@@ -38,17 +40,7 @@ class LossStats:
 
 
 def _residuals(post, labels):
-    y = np.atleast_2d(np.asarray(labels, dtype=float))
-    if y.shape[0] != post.n_test and y.shape[1] == post.n_test:
-        y = y.T
-    if y.shape != post.mean.shape:
-        raise ValueError(
-            "labels shape %s does not match posterior mean shape %s"
-            % (y.shape, post.mean.shape)
-        )
-    if not np.all(np.isfinite(y)):
-        raise ValueError("labels contain non-finite entries")
-    return y - post.mean
+    return label_matrix(labels, post.n_test, post.n_out) - post.mean
 
 
 def loss_mean(post, labels):

@@ -614,6 +614,29 @@ def test_cli_sweep_fit_emit(tmp_path, capsys):
     assert (tmp_path / "plot.csv").exists()
 
 
+def test_cli_sweep_rejects_unknown_keys_and_flags(tmp_path, capsys):
+    base = "sizes = 4,8,16\ndepth = 2\ninput_dim = 3\ntest_size = 8\nval_size = 4\n"
+    store = tmp_path / "store"
+    plan = tmp_path / "plan.txt"
+    for line, named in (
+        ("ensemble_sise = 3", ["ensemble_sise"]),
+        ("bayesian = yes", ["bayesian", "yes"]),
+        ("infinite_width = no", ["infinite_width", "no"]),
+    ):
+        plan.write_text(base + line + "\n")
+        rc = cli_main(["sweep", "run", "--plan", str(plan), "--out", str(store)])
+        assert rc == 1, line
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert all(word in err["message"] for word in named), err
+    assert not store.exists()
+    # flags take true or false in any case
+    plan.write_text(base + "infinite_width = FALSE\nbayesian = True\n")
+    assert cli_main(["sweep", "run", "--plan", str(plan), "--out", str(store)]) == 0
+    with open(store / "infwidth.csv", newline="") as f:
+        assert {r["series"] for r in csv.DictReader(f)} == {"bayesian"}
+
+
 def test_cli_errors_as_json(tmp_path, capsys):
     rc = cli_main(
         [

@@ -3,16 +3,22 @@ import pytest
 
 from ntkuq import (
     ArchitectureConfig,
+    Dataset,
     EarlyStopPolicy,
     IllConditionedError,
     InputSet,
     KernelPair,
     PredictivePosterior,
+    TrainConfig,
     bayesian_posterior,
     build_kernel_pair,
     closed_form_posterior,
+    gd_epoch,
     gd_evolve,
+    init_network,
     load_posterior_jsonl,
+    loss_stats,
+    mse_loss,
     save_posterior_jsonl,
 )
 from ntkuq.errors import DivergenceError
@@ -244,3 +250,45 @@ def test_posterior_negative_diag_clamped():
     assert post.cov[1, 1] == 0.0
     with pytest.raises(ValueError):
         PredictivePosterior(mean=np.zeros((2, 1)), cov=np.diag([1.0, -1e-3]), method="x")
+
+
+def _label_consumers(n_out):
+    """Every label or posterior-mean entry point, as f(Y) for 3 points x n_out."""
+    X = np.random.default_rng(80).standard_normal((5, 4))
+    kp = build_kernel_pair(InputSet(X), ArchitectureConfig(depth=2, input_dim=4))
+    tr, te = np.arange(3), np.arange(3, 5)
+    post = PredictivePosterior(mean=np.zeros((3, n_out)), cov=np.eye(3), method="x")
+    stop = EarlyStopPolicy(
+        validation_ids=[0], validation_labels=np.zeros((1, n_out)), check_every=1, max_steps=3
+    )
+    arch = ArchitectureConfig(depth=2, input_dim=4, hidden_width=8, n_out=n_out)
+
+    def one_gd_epoch(Y):
+        net = init_network(arch, seed=80)
+        gd_epoch(net, X[:3], Y, TrainConfig(eta=0.1))
+        return net.weights[0]
+
+    return {
+        "Dataset": lambda Y: Dataset(inputs=InputSet(X[:3]), labels=Y).labels,
+        "EarlyStopPolicy": lambda Y: EarlyStopPolicy(tr, Y).validation_labels,
+        "PredictivePosterior": lambda Y: PredictivePosterior(Y, np.eye(3), "x").mean,
+        "loss_stats": lambda Y: loss_stats(post, Y).mu_L,
+        "closed_form_posterior": lambda Y: closed_form_posterior(kp, tr, te, Y).mean,
+        "bayesian_posterior": lambda Y: bayesian_posterior(kp, tr, te, Y).mean,
+        "gd_evolve": lambda Y: gd_evolve(kp, tr, te, Y, stop=stop).mean,
+        "mse_loss": lambda Y: mse_loss(init_network(arch, seed=80), X[:3], Y),
+        "gd_epoch": one_gd_epoch,
+    }
+
+
+@pytest.mark.parametrize("entry", list(_label_consumers(1)))
+def test_label_rows_are_points_everywhere(entry):
+    # Rows are points at every entry point: a transposed (n_out, n) matrix
+    # is rejected, never flipped, and a 1-D array is one column.
+    Y = np.arange(6.0).reshape(3, 2) / 6.0
+    consume = _label_consumers(n_out=2)[entry]
+    consume(Y)
+    with pytest.raises(ValueError, match="label shape"):
+        consume(Y.T)
+    consume = _label_consumers(n_out=1)[entry]
+    np.testing.assert_array_equal(consume(Y[:, 0]), consume(Y[:, :1]))

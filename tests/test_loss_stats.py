@@ -125,16 +125,25 @@ def test_nonnegativity_random_instances():
 
 
 def test_variance_requires_full_covariance():
-    post = PredictivePosterior.__new__(PredictivePosterior)
-    object.__setattr__(post, "mean", np.zeros((2, 1)))
-    object.__setattr__(post, "cov", None)
-    object.__setattr__(post, "method", "closed_form")
-    object.__setattr__(post, "steps_used", 0)
-    object.__setattr__(post, "diag_var", np.ones(2))
+    post = PredictivePosterior(mean=np.zeros((2, 1)), cov=None, method="closed_form", var=np.ones(2))
     with pytest.raises(ValueError):
         loss_variance(post, np.zeros((2, 1)))
     # the mean only needs the diagonal
     assert loss_mean(post, np.zeros((2, 1))) == pytest.approx(0.5)
+
+
+def test_diagonal_only_posterior():
+    var = np.array([1.0, 3.0])
+    post = PredictivePosterior(mean=np.zeros((2, 1)), cov=None, method="closed_form", var=var)
+    assert loss_mean(post, np.zeros((2, 1))) == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        mc_loss_moments(post, np.zeros((2, 1)), 1000, seed=0)
+    full = PredictivePosterior(mean=np.zeros((2, 1)), cov=np.diag(var), method="closed_form")
+    np.testing.assert_array_equal(full.var, var)
+    # exactly one of cov and var, and var must fit the mean
+    for cov, v in ((np.diag(var), var), (None, None), (None, np.ones(3)), (None, -var)):
+        with pytest.raises(ValueError):
+            PredictivePosterior(mean=np.zeros((2, 1)), cov=cov, method="x", var=v)
 
 
 def test_dimension_mismatch_rejected():
