@@ -404,7 +404,7 @@ def load_plan_file(path):
     """Parse a key = value plan file into keyword arguments.
 
     Recognized keys mirror ExperimentPlan and its nested configs; list
-    values are comma-separated.
+    values are comma-separated. A key given twice raises ValueError.
     """
     raw = {}
     with open(path) as f:
@@ -414,6 +414,8 @@ def load_plan_file(path):
                 continue
             if "=" not in line:
                 raise ValueError("bad plan line %r" % line)
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in raw:
+                raise ValueError("plan key %s given twice" % key)
+            raw[key] = value
     return raw

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DivergenceError, IllConditionedError
-from .kernels import label_matrix
+from .kernels import _symmetric, label_matrix
 
 __all__ = [
     "PredictivePosterior",
@@ -57,9 +57,7 @@ class PredictivePosterior:
             cov = np.asarray(self.cov, dtype=float)
             if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
                 raise ValueError("cov shape %s is not square" % (cov.shape,))
-            if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-10:
-                raise ValueError("cov is not symmetric within 1e-10")
-            cov = 0.5 * (cov + cov.T)
+            cov = _symmetric(cov, "cov", 1e-10)
             d = np.diag(cov).copy()
             if np.any(d < -VAR_CLAMP):
                 raise ValueError("cov diagonal below -%g" % VAR_CLAMP)
@@ -118,13 +116,15 @@ def _blocks(kp, M, train_ids, test_ids):
 
 
 def _check_conditioning(A, name):
+    # 2-norm reciprocal condition of a symmetric A, min|lambda| / max|lambda|, without an SVD.
     if A.shape[0] == 0:
         raise ValueError("empty training set")
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or 1.0 / cond < RCOND_LIMIT:
+    lam = np.abs(np.linalg.eigvalsh(A)) if np.all(np.isfinite(A)) else np.zeros(1)
+    rcond = lam.min() / lam.max() if lam.max() > 0 else 0.0
+    if not rcond >= RCOND_LIMIT:
         raise IllConditionedError(
             "%s reciprocal condition %.3g below %g; use the iterative GD path"
-            % (name, 0.0 if not np.isfinite(cond) else 1.0 / cond, RCOND_LIMIT)
+            % (name, rcond, RCOND_LIMIT)
         )
 
 
@@ -252,7 +252,7 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, stop=None):
 
 
 def save_posterior_jsonl(post, path, ids=None):
-    """One JSON record per test point: {id, mean[], var}."""
+    """One JSON record per test point: {id, mean[], var, method, steps_used}."""
     if ids is None:
         ids = range(post.n_test)
     var = post.var
@@ -262,22 +262,33 @@ def save_posterior_jsonl(post, path, ids=None):
                 "id": int(pid),
                 "mean": [float(v) for v in post.mean[row]],
                 "var": float(var[row]),
+                "method": post.method,
+                "steps_used": int(post.steps_used),
             }
             f.write(json.dumps(rec) + "\n")
 
 
-def load_posterior_jsonl(path, method="closed_form"):
+def load_posterior_jsonl(path):
     """Rebuild a diagonal-only posterior from the JSON-lines export.
 
     The full covariance is not stored in this format, so cov is None and
     operations needing off-diagonals must use the binary matrix export.
+    Every record must carry the same method and steps_used.
     """
-    means, variances, ids = [], [], []
+    means, variances, ids, routes = [], [], [], set()
     with open(path) as f:
         for line in f:
             rec = json.loads(line)
+            if "method" not in rec or "steps_used" not in rec:
+                raise ValueError("posterior record %d has no method or steps_used" % len(ids))
             ids.append(rec["id"])
             means.append(rec["mean"])
             variances.append(rec["var"])
-    post = PredictivePosterior(mean=means, cov=None, method=method, var=variances)
+            routes.add((rec["method"], rec["steps_used"]))
+    if len(routes) != 1:
+        raise ValueError("posterior records need one method and steps_used: %s" % sorted(routes))
+    ((method, steps_used),) = routes
+    post = PredictivePosterior(
+        mean=means, cov=None, method=method, steps_used=steps_used, var=variances
+    )
     return post, np.asarray(ids)

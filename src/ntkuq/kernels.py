@@ -97,6 +97,15 @@ class ArchitectureConfig:
             raise ValueError("lambda_b must be >= 0")
 
 
+def _symmetric(M, name, tol):
+    """M if exactly symmetric (as a view, not a copy), else (M + M^T)/2 within tol."""
+    if np.array_equal(M, M.T):
+        return M.view()
+    if np.max(np.abs(M - M.T), initial=0.0) > tol:
+        raise ValueError("%s is not symmetric within %g" % (name, tol))
+    return 0.5 * (M + M.T)
+
+
 @dataclass(frozen=True)
 class KernelPair:
     """Layer-L kernel K and NTK Theta over a fixed ordering of inputs."""
@@ -110,12 +119,8 @@ class KernelPair:
         Theta = np.asarray(self.Theta, dtype=float)
         if K.shape != Theta.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError("K and Theta must be square matrices of equal shape")
-        if np.max(np.abs(K - K.T), initial=0.0) > 1e-12:
-            raise ValueError("K is not symmetric within 1e-12")
-        if np.max(np.abs(Theta - Theta.T), initial=0.0) > 1e-12:
-            raise ValueError("Theta is not symmetric within 1e-12")
-        K = 0.5 * (K + K.T)
-        Theta = 0.5 * (Theta + Theta.T)
+        K = _symmetric(K, "K", 1e-12)
+        Theta = _symmetric(Theta, "Theta", 1e-12)
         if np.any(np.diag(K) < 0):
             raise ValueError("K has negative diagonal entries")
         K.setflags(write=False)
@@ -164,21 +169,16 @@ def erf_deriv_pair_expectation(k_aa, k_ab, k_bb):
     return (4.0 / np.pi) / np.sqrt(disc)
 
 
-def _erf_pair_matrix(K):
-    # Vectorized form of erf_pair_expectation over a full PSD matrix.
-    d = np.diag(K)
-    denom = np.sqrt(np.outer(1.0 + 2.0 * d, 1.0 + 2.0 * d))
-    arg = np.clip(2.0 * K / denom, -1.0, 1.0)
-    return (2.0 / np.pi) * np.arcsin(arg)
-
-
-def _erf_deriv_pair_matrix(K):
-    d = np.diag(K)
-    disc = np.outer(1.0 + 2.0 * d, 1.0 + 2.0 * d) - 4.0 * K * K
+def _erf_pair_matrices(K):
+    # Vectorized erf_pair_expectation and erf_deriv_pair_expectation; once Sdot is
+    # done, their shared outer product becomes S's denominator in place (peak memory).
+    d = 1.0 + 2.0 * np.diag(K)
+    outer = np.outer(d, d)
     # Round-off on degenerate pairs (duplicated points) can push the
     # discriminant slightly below its exact positive value.
-    disc = np.maximum(disc, 1e-300)
-    return (4.0 / np.pi) / np.sqrt(disc)
+    Sdot = (4.0 / np.pi) / np.sqrt(np.maximum(outer - 4.0 * K * K, 1e-300))
+    S = (2.0 / np.pi) * np.arcsin(np.clip(2.0 * K / np.sqrt(outer, out=outer), -1.0, 1.0))
+    return S, Sdot
 
 
 def build_kernel_pair(inputs, arch):
@@ -193,14 +193,15 @@ def build_kernel_pair(inputs, arch):
     X = inputs.points
     n0 = inputs.input_dim
     K = X @ X.T / n0
+    # Only a BLAS gemm (some strided X), not syrk, can make X X^T asymmetric.
+    gram_symmetric = np.array_equal(K, K.T)
     Theta = arch.lambda_b + arch.lambda_w * K
     for ell in range(1, arch.depth):
-        S = _erf_pair_matrix(K)
-        Sdot = _erf_deriv_pair_matrix(K)
+        S, Sdot = _erf_pair_matrices(K)
         Theta = arch.lambda_b / ell + arch.lambda_w * S + Sdot * Theta
         K = S
-    K = 0.5 * (K + K.T)
-    Theta = 0.5 * (Theta + Theta.T)
+    if not gram_symmetric:
+        K, Theta = 0.5 * (K + K.T), 0.5 * (Theta + Theta.T)
     return KernelPair(K=K, Theta=Theta, layer=arch.depth)
 
 

@@ -92,21 +92,22 @@ def loss_variance(post, labels):
 
 
 def coefficient_of_variation(stats):
-    """sqrt(var_L) / mu_L; NaN (undefined) when mu_L is zero."""
-    if stats.mu_L == 0:
-        return float("nan")
-    return float(np.sqrt(stats.var_L) / stats.mu_L)
+    """eps_L = sqrt(var_L) / mu_L, defined only when mu_L > 0; NaN otherwise."""
+    return _eps(stats.mu_L, stats.var_L)
+
+
+def _eps(mu, var):
+    return float(np.sqrt(var) / mu) if mu > 0 else float("nan")
 
 
 def loss_stats(post, labels, method=None):
     """Bundle mu_L, var_L and eps_L for a posterior/label pair."""
     mu = loss_mean(post, labels)
     var = loss_variance(post, labels)
-    eps = float(np.sqrt(var) / mu) if mu > 0 else float("nan")
     return LossStats(
         mu_L=mu,
         var_L=var,
-        eps_L=eps,
+        eps_L=_eps(mu, var),
         n_test=post.n_test,
         n_out=post.n_out,
         method=method if method is not None else post.method,

@@ -459,6 +459,13 @@ def test_load_plan_file(tmp_path):
         load_plan_file(bad)
 
 
+def test_load_plan_file_rejects_repeated_key(tmp_path):
+    path = tmp_path / "plan.txt"
+    path.write_text("sizes = 8,16,32\ndepth = 2\nsizes = 64\n")
+    with pytest.raises(ValueError, match="sizes"):
+        load_plan_file(path)
+
+
 def test_plan_validation():
     arch = ArchitectureConfig(depth=2, input_dim=3)
     with pytest.raises(ValueError):
@@ -635,6 +642,18 @@ def test_cli_sweep_rejects_unknown_keys_and_flags(tmp_path, capsys):
     assert cli_main(["sweep", "run", "--plan", str(plan), "--out", str(store)]) == 0
     with open(store / "infwidth.csv", newline="") as f:
         assert {r["series"] for r in csv.DictReader(f)} == {"bayesian"}
+
+
+def test_cli_sweep_rejects_repeated_plan_key(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(
+        "sizes = 4,8,16\ndepth = 2\ninput_dim = 3\ntest_size = 8\nval_size = 4\nsizes = 32\n"
+    )
+    store = tmp_path / "store"
+    assert cli_main(["sweep", "run", "--plan", str(plan), "--out", str(store)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "sizes" in err["message"], err
+    assert not store.exists()
 
 
 def test_cli_errors_as_json(tmp_path, capsys):

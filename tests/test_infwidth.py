@@ -22,6 +22,7 @@ from ntkuq import (
     save_posterior_jsonl,
 )
 from ntkuq.errors import DivergenceError
+from ntkuq.infwidth import RCOND_LIMIT, _check_conditioning
 
 from oracles import gd_map_limit
 
@@ -173,6 +174,41 @@ def test_ill_conditioned_raises_structured_error():
         closed_form_posterior(kp, [0, 1, 2], [3], np.zeros((3, 1)))
 
 
+def _with_spectrum(rcond, seed, n=12):
+    """Symmetric n x n matrix whose |eigenvalues| run from 1 down to rcond."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.geomspace(1.0, rcond, n)
+    if seed % 2:
+        lam[1::2] *= -1.0  # indefinite: the gate uses |lambda|
+    A = (Q * lam) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+def test_conditioning_gate_is_the_2norm_rcond():
+    outcomes = []
+    for seed in range(4):
+        for rcond in [*np.geomspace(1e-16, 1e-8, 33), 0.98 * RCOND_LIMIT, 1.02 * RCOND_LIMIT]:
+            A = _with_spectrum(rcond, seed)
+            s = np.linalg.svd(A, compute_uv=False)
+            ratio = s[-1] / s[0]
+            if abs(ratio - RCOND_LIMIT) <= 1e-3 * RCOND_LIMIT:
+                continue
+            if ratio < RCOND_LIMIT:
+                with pytest.raises(IllConditionedError):
+                    _check_conditioning(A, "A")
+            else:
+                _check_conditioning(A, "A")
+            outcomes.append(ratio < RCOND_LIMIT)
+    assert len(outcomes) >= 4 * 33 and 0 < sum(outcomes) < len(outcomes)
+    v = np.random.default_rng(1).standard_normal(5)
+    nan = np.eye(3)
+    nan[0, 1] = nan[1, 0] = np.nan
+    for bad in (np.outer(v, v), np.zeros((3, 3)), nan, np.full((2, 2), np.inf)):
+        with pytest.raises(IllConditionedError):
+            _check_conditioning(bad, "A")
+
+
 def test_linearity_in_labels():
     kp, tr, te, _ = _random_instance(10)
     rng = np.random.default_rng(11)
@@ -242,6 +278,40 @@ def test_posterior_jsonl_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.mean, post.mean)
     np.testing.assert_allclose(loaded.var, post.var)
     assert loaded.cov is None
+
+
+def test_posterior_jsonl_keeps_method_and_steps(tmp_path):
+    kp, n_train, n_test, y = _with_dup_train(72)
+    tr = np.arange(n_train)
+    te = np.arange(n_train, n_train + n_test + 2)
+    pol = _dup_train_policy(kp, n_train, n_test, y, patience=3, check_every=10, max_steps=200)
+    lam = np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
+    posts = [bayesian_posterior(kp, tr, te, y), gd_evolve(kp, tr, te, y, eta=0.5 / lam, stop=pol)]
+    assert [p.method for p in posts] == ["bayesian", "iterative"] and posts[1].steps_used > 0
+    for post in posts:
+        path = tmp_path / (post.method + ".jsonl")
+        save_posterior_jsonl(post, path)
+        loaded, _ = load_posterior_jsonl(path)
+        assert (loaded.method, loaded.steps_used) == (post.method, post.steps_used)
+    # a record without the route is rejected, never stamped "closed_form"
+    path.write_text('{"id": 0, "mean": [0.0], "var": 1.0}\n')
+    with pytest.raises(ValueError, match="method"):
+        load_posterior_jsonl(path)
+
+
+def test_posterior_cov_symmetry_tolerance():
+    cov = np.array([[1.0, 0.5], [0.5, 1.0]])
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="cov is not symmetric"):
+        PredictivePosterior(mean=np.zeros((2, 1)), cov=cov + 2e-10 * skew, method="x")
+    near = cov + 5e-11 * skew
+    post = PredictivePosterior(mean=np.zeros((2, 1)), cov=near, method="x")
+    np.testing.assert_array_equal(post.cov, 0.5 * (near + near.T))
+    assert np.array_equal(post.cov, post.cov.T)
+    # an exactly symmetric cov is kept as given; the caller's array stays writable
+    post = PredictivePosterior(mean=np.zeros((2, 1)), cov=cov, method="x")
+    np.testing.assert_array_equal(post.cov, cov)
+    assert cov.flags.writeable and not post.cov.flags.writeable
 
 
 def test_posterior_negative_diag_clamped():

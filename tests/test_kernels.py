@@ -157,6 +157,44 @@ def test_kernel_pair_validation():
         KernelPair(K=-np.eye(2), Theta=np.eye(2), layer=1)
 
 
+def test_kernel_pair_symmetry_tolerance():
+    K = np.array([[1.0, 0.5], [0.5, 1.0]])
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="K is not symmetric"):
+        KernelPair(K=K + 2e-12 * skew, Theta=K, layer=1)
+    with pytest.raises(ValueError, match="Theta is not symmetric"):
+        KernelPair(K=K, Theta=K + 2e-12 * skew, layer=1)
+    near = K + 5e-13 * skew
+    kp = KernelPair(K=near, Theta=near, layer=1)
+    for M in (kp.K, kp.Theta):
+        np.testing.assert_array_equal(M, 0.5 * (near + near.T))
+        assert np.array_equal(M, M.T)
+    # an exactly symmetric matrix is kept as given; the caller's array stays writable
+    kp = KernelPair(K=K, Theta=K, layer=1)
+    np.testing.assert_array_equal(kp.K, K)
+    assert K.flags.writeable and not kp.K.flags.writeable and not kp.Theta.flags.writeable
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "column_slice", "column_step"])
+def test_built_kernels_exactly_symmetric(layout):
+    # For a column-step view, X X^T can come from a BLAS gemm rather than
+    # syrk and need not be exactly symmetric (seen at 300 rows); scaled by
+    # 100, its asymmetry exceeds KernelPair's 1e-12 tolerance at depth 1,
+    # so build_kernel_pair must repair it, not pass it on.
+    view = {
+        "C": lambda B: np.ascontiguousarray(B[:, :16]),
+        "F": lambda B: np.asfortranarray(B[:, :16]),
+        "column_slice": lambda B: B[:, :16],
+        "column_step": lambda B: B[:, ::3],
+    }[layout]
+    big = np.random.default_rng(12).standard_normal((300, 48))
+    for scale in (1.0, 100.0):
+        for depth in (1, 3):
+            X = view(scale * big)
+            kp = build_kernel_pair(InputSet(X), ArchitectureConfig(depth=depth, input_dim=16))
+            assert np.array_equal(kp.K, kp.K.T) and np.array_equal(kp.Theta, kp.Theta.T)
+
+
 def test_input_set_rejects_nonfinite():
     with pytest.raises(ValueError):
         InputSet([[1.0, np.nan]])

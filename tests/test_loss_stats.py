@@ -72,6 +72,18 @@ def test_coefficient_of_variation():
     assert np.isnan(undefined)
 
 
+def test_one_eps_rule():
+    # eps_L is defined only when mu_L > 0, in loss_stats and coefficient_of_variation alike
+    post, labels = _random_case(3, n_test=4, n_out=2)
+    stats = loss_stats(post, labels)
+    assert stats.eps_defined and stats.eps_L == coefficient_of_variation(stats)
+    zero = loss_stats(_posterior(labels, np.zeros((4, 4))), labels)
+    assert zero.mu_L == 0.0 and not zero.eps_defined
+    assert np.isnan(zero.eps_L) and np.isnan(coefficient_of_variation(zero))
+    negative = LossStats(mu_L=-0.5, var_L=0.125, eps_L=0.0, n_test=1, n_out=1)
+    assert np.isnan(coefficient_of_variation(negative))
+
+
 def test_eps_scale_invariance():
     post, labels = _random_case(5, n_test=5, n_out=2)
     base = loss_stats(post, labels)
