@@ -6,7 +6,10 @@ Three routes to the Gaussian posterior over test outputs:
   * the Bayesian variant, with the NTK replaced by the kernel.
 """
 
+import contextlib
+import ctypes
 from dataclasses import dataclass
+import functools
 import json
 
 import numpy as np
@@ -115,24 +118,73 @@ def _blocks(kp, M, train_ids, test_ids):
     return M_A, M_B, K_A, K_B, kp.K[np.ix_(te, te)]
 
 
-def _check_conditioning(A, name):
-    # 2-norm reciprocal condition of a symmetric A, min|lambda| / max|lambda|, without an SVD.
-    if A.shape[0] == 0:
+@functools.cache
+def _openblas_pools():
+    """(get, set) thread-count functions of every OpenBLAS loaded in this process.
+
+    The numpy and scipy wheels each bundle their own OpenBLAS, each with its
+    own worker pool. Found once, from /proc/self/maps; empty without /proc or
+    without OpenBLAS (MKL, other platforms).
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                     "openblas_%s_num_threads"):
+            get, set_ = getattr(lib, name % "get", None), getattr(lib, name % "set", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                pools.append((get, set_))
+                break
+    return tuple(pools)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    # A posterior solve alternates between numpy's and scipy's OpenBLAS. An idle
+    # pool's workers spin for a while after each call, so with both pools at 2
+    # threads, 3 threads share 2 cores; one thread per pool is faster. It also
+    # keeps the solve's bits independent of the thread count, which at some
+    # shapes changes how OpenBLAS rounds a GEMM or eigvalsh. The count is
+    # process-wide: ntkuq calls BLAS from one thread only, so only a concurrent
+    # caller's BLAS calls would also run on one thread meanwhile.
+    pools = _openblas_pools()
+    saved = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(pools, saved):
+            set_(n)
+
+
+def _posterior_from_blocks(M_A, M_B, K_A, K_B, K_BB, y, name, method):
+    if M_A.shape[0] == 0:
         raise ValueError("empty training set")
-    lam = np.abs(np.linalg.eigvalsh(A)) if np.all(np.isfinite(A)) else np.zeros(1)
-    rcond = lam.min() / lam.max() if lam.max() > 0 else 0.0
-    if not rcond >= RCOND_LIMIT:
-        raise IllConditionedError(
-            "%s reciprocal condition %.3g below %g; use the iterative GD path"
-            % (name, rcond, RCOND_LIMIT)
-        )
-
-
-def _posterior_from_blocks(M_A, M_B, K_A, K_B, K_BB, y, method):
-    # T = M_A^{-1} M_B via a symmetric solve; explicit inverses avoided.
-    T = scipy.linalg.solve(M_A, M_B, assume_a="sym")
-    mean = T.T @ y
-    cov = K_BB - T.T @ K_B - K_B.T @ T + T.T @ K_A @ T
+    with _one_blas_thread():
+        # 2-norm reciprocal condition of the symmetric M_A, min|lambda| / max|lambda|,
+        # without an SVD.
+        lam = np.abs(np.linalg.eigvalsh(M_A)) if np.all(np.isfinite(M_A)) else np.zeros(1)
+        rcond = lam.min() / lam.max() if lam.max() > 0 else 0.0
+        if not rcond >= RCOND_LIMIT:
+            raise IllConditionedError(
+                "%s reciprocal condition %.3g below %g; use the iterative GD path"
+                % (name, rcond, RCOND_LIMIT)
+            )
+        # T = M_A^{-1} M_B via a symmetric solve; explicit inverses avoided.
+        T = scipy.linalg.solve(M_A, M_B, assume_a="sym")
+        mean = T.T @ y
+        cov = K_BB - T.T @ K_B - K_B.T @ T + T.T @ K_A @ T
     cov = 0.5 * (cov + cov.T)
     return PredictivePosterior(mean=mean, cov=cov, method=method, steps_used=0)
 
@@ -145,8 +197,7 @@ def closed_form_posterior(kp, train_ids, test_ids, labels):
     """
     Th_A, Th_B, K_A, K_B, K_BB = _blocks(kp, kp.Theta, train_ids, test_ids)
     y = label_matrix(labels, Th_A.shape[0])
-    _check_conditioning(Th_A, "Theta_A")
-    return _posterior_from_blocks(Th_A, Th_B, K_A, K_B, K_BB, y, "closed_form")
+    return _posterior_from_blocks(Th_A, Th_B, K_A, K_B, K_BB, y, "Theta_A", "closed_form")
 
 
 def bayesian_posterior(kp, train_ids, test_ids, labels):
@@ -157,8 +208,7 @@ def bayesian_posterior(kp, train_ids, test_ids, labels):
     """
     _, _, K_A, K_B, K_BB = _blocks(kp, kp.K, train_ids, test_ids)
     y = label_matrix(labels, K_A.shape[0])
-    _check_conditioning(K_A, "K_A")
-    return _posterior_from_blocks(K_A, K_B, K_A, K_B, K_BB, y, "bayesian")
+    return _posterior_from_blocks(K_A, K_B, K_A, K_B, K_BB, y, "K_A", "bayesian")
 
 
 def _validation_mean_loss(mean, cov, val_rows, val_labels):
@@ -216,11 +266,13 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, stop=None):
         A = M @ A
 
     mean = np.zeros((n, y.shape[1]))
-    cov = K_joint.copy()
+    cov = K_joint
 
     initial_val = _validation_mean_loss(mean, cov, val_rows, val_labels)
     best_val = initial_val
-    best = (mean.copy(), cov.copy(), 0)
+    # Each check rebinds mean and cov to new arrays and never writes into
+    # them, so best keeps references, not copies.
+    best = (mean, cov, 0)
     bad_checks = 0
     step = 0
     while step < stop.max_steps:
@@ -235,7 +287,7 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, stop=None):
             )
         if val < best_val:
             best_val = val
-            best = (mean.copy(), cov.copy(), step)
+            best = (mean, cov, step)
             bad_checks = 0
         else:
             bad_checks += 1

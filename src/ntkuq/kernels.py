@@ -119,6 +119,8 @@ class KernelPair:
         Theta = np.asarray(self.Theta, dtype=float)
         if K.shape != Theta.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError("K and Theta must be square matrices of equal shape")
+        if not (np.all(np.isfinite(K)) and np.all(np.isfinite(Theta))):
+            raise ValueError("K or Theta contains non-finite entries")
         K = _symmetric(K, "K", 1e-12)
         Theta = _symmetric(Theta, "Theta", 1e-12)
         if np.any(np.diag(K) < 0):
@@ -170,14 +172,24 @@ def erf_deriv_pair_expectation(k_aa, k_ab, k_bb):
 
 
 def _erf_pair_matrices(K):
-    # Vectorized erf_pair_expectation and erf_deriv_pair_expectation; once Sdot is
-    # done, their shared outer product becomes S's denominator in place (peak memory).
+    # Vectorized erf_pair_expectation and erf_deriv_pair_expectation, each
+    # built in one buffer by in-place steps in the scalar forms' order; once
+    # Sdot is done, their shared outer product becomes S's denominator in place.
     d = 1.0 + 2.0 * np.diag(K)
     outer = np.outer(d, d)
     # Round-off on degenerate pairs (duplicated points) can push the
     # discriminant slightly below its exact positive value.
-    Sdot = (4.0 / np.pi) / np.sqrt(np.maximum(outer - 4.0 * K * K, 1e-300))
-    S = (2.0 / np.pi) * np.arcsin(np.clip(2.0 * K / np.sqrt(outer, out=outer), -1.0, 1.0))
+    Sdot = np.multiply(4.0, K)
+    Sdot *= K
+    np.subtract(outer, Sdot, out=Sdot)
+    np.maximum(Sdot, 1e-300, out=Sdot)
+    np.sqrt(Sdot, out=Sdot)
+    np.divide(4.0 / np.pi, Sdot, out=Sdot)
+    S = np.multiply(2.0, K)
+    S /= np.sqrt(outer, out=outer)
+    np.clip(S, -1.0, 1.0, out=S)
+    np.arcsin(S, out=S)
+    S *= 2.0 / np.pi
     return S, Sdot
 
 
@@ -198,7 +210,13 @@ def build_kernel_pair(inputs, arch):
     Theta = arch.lambda_b + arch.lambda_w * K
     for ell in range(1, arch.depth):
         S, Sdot = _erf_pair_matrices(K)
-        Theta = arch.lambda_b / ell + arch.lambda_w * S + Sdot * Theta
+        # Theta <- (lambda_b / ell + lambda_w * S) + Sdot * Theta, in place:
+        # Sdot * Theta first, then the bias-and-S term into Sdot's buffer.
+        Theta *= Sdot
+        np.multiply(arch.lambda_w, S, out=Sdot)
+        Sdot += arch.lambda_b / ell
+        Theta += Sdot
+        del Sdot  # freed before the next layer allocates its temporaries
         K = S
     if not gram_symmetric:
         K, Theta = 0.5 * (K + K.T), 0.5 * (Theta + Theta.T)

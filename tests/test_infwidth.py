@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,9 @@ from ntkuq import (
     mse_loss,
     save_posterior_jsonl,
 )
+from ntkuq import infwidth
 from ntkuq.errors import DivergenceError
-from ntkuq.infwidth import RCOND_LIMIT, _check_conditioning
+from ntkuq.infwidth import RCOND_LIMIT, _one_blas_thread, _openblas_pools, _posterior_from_blocks
 
 from oracles import gd_map_limit
 
@@ -183,6 +186,13 @@ def _with_spectrum(rcond, seed, n=12):
         lam[1::2] *= -1.0  # indefinite: the gate uses |lambda|
     A = (Q * lam) @ Q.T
     return 0.5 * (A + A.T)
+
+
+def _check_conditioning(A, name):
+    # The gate alone: a zero right-hand side makes the rest of the solve trivial.
+    n = A.shape[0]
+    zero = np.zeros((n, 1))
+    _posterior_from_blocks(A, zero, A, zero, np.zeros((1, 1)), zero, name, "closed_form")
 
 
 def test_conditioning_gate_is_the_2norm_rcond():
@@ -362,3 +372,63 @@ def test_label_rows_are_points_everywhere(entry):
         consume(Y.T)
     consume = _label_consumers(n_out=1)[entry]
     np.testing.assert_array_equal(consume(Y[:, 0]), consume(Y[:, :1]))
+
+
+def _pool_threads():
+    return [get() for get, _ in _openblas_pools()]
+
+
+def test_posterior_solve_runs_on_one_blas_thread(monkeypatch):
+    pools = _openblas_pools()
+    if "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        assert pools or not os.path.exists("/proc/self/maps")
+    if not pools:
+        pytest.skip("no OpenBLAS thread pool in this process")
+    saved = _pool_threads()
+    X = np.random.default_rng(3).standard_normal((4, 5))
+    X[1] = X[0]
+    singular = build_kernel_pair(InputSet(X), ArchitectureConfig(depth=2, input_dim=5))
+    try:
+        for _, set_ in pools:
+            set_(2)
+        with _one_blas_thread():
+            assert _pool_threads() == [1] * len(pools)
+        assert _pool_threads() == [2] * len(pools)
+        # The gate raises inside the context; the counts still come back.
+        with pytest.raises(IllConditionedError):
+            closed_form_posterior(singular, [0, 1, 2], [3], np.zeros((3, 1)))
+        assert _pool_threads() == [2] * len(pools)
+        # With no pool found, the context changes nothing.
+        monkeypatch.setattr(infwidth, "_openblas_pools", lambda: ())
+        with _one_blas_thread():
+            assert [get() for get, _ in pools] == [2] * len(pools)
+    finally:
+        for (_, set_), n in zip(pools, saved):
+            set_(n)
+
+
+def test_posterior_bits_do_not_depend_on_blas_threads(monkeypatch):
+    # At 150 + 150 points, OpenBLAS's 2-thread GEMM and eigvalsh can round
+    # entries differently from 1 thread. The whole solve runs inside the
+    # context, so the count the pools held before the call changes no bit.
+    pools = _openblas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS thread pool in this process")
+    kp, tr, te, y = _random_instance(90, n_train=150, n_test=150, d=24, depth=3, n_out=2)
+    routes = (closed_form_posterior, bayesian_posterior)
+    saved = _pool_threads()
+    try:
+        results = {}
+        for threads in (1, 2):
+            for _, set_ in pools:
+                set_(threads)
+            results[threads] = [route(kp, tr, te, y) for route in routes]
+        monkeypatch.setattr(infwidth, "_openblas_pools", lambda: ())
+        threaded = [route(kp, tr, te, y) for route in routes]
+    finally:
+        for (_, set_), n in zip(pools, saved):
+            set_(n)
+    for one, two, free in zip(results[1], results[2], threaded):
+        assert np.array_equal(one.mean, two.mean) and np.array_equal(one.cov, two.cov)
+        np.testing.assert_allclose(free.mean, one.mean, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(free.cov, one.cov, rtol=0, atol=1e-13)

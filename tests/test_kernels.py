@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,6 +196,41 @@ def test_built_kernels_exactly_symmetric(layout):
             X = view(scale * big)
             kp = build_kernel_pair(InputSet(X), ArchitectureConfig(depth=depth, input_dim=16))
             assert np.array_equal(kp.K, kp.K.T) and np.array_equal(kp.Theta, kp.Theta.T)
+
+
+def test_kernel_pair_rejects_nonfinite(tmp_path):
+    nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    for K, Theta in ((nan, np.eye(2)), (np.eye(2), nan), (np.eye(2), np.diag([1.0, np.inf]))):
+        with pytest.raises(ValueError, match="non-finite"):
+            KernelPair(K=K, Theta=Theta, layer=1)
+    path = tmp_path / "nan.bin"
+    path.write_bytes(struct.pack("<Q", 2) + np.concatenate([nan, np.eye(2)]).astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="non-finite"):
+        load_kernel_pair(path)
+
+
+def test_kernel_build_in_place():
+    # The in-place recursion gives the bits of the plain expressions below
+    # and peaks below 3x the memory of the pair it returns.
+    X = np.random.default_rng(14).standard_normal((300, 16))
+    arch = ArchitectureConfig(depth=3, input_dim=16, lambda_b=0.5, lambda_w=2.0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kp = build_kernel_pair(InputSet(X), arch)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (kp.K.nbytes + kp.Theta.nbytes)
+    K = X @ X.T / 16
+    Theta = arch.lambda_b + arch.lambda_w * K
+    for ell in (1, 2):
+        outer = np.outer(1.0 + 2.0 * np.diag(K), 1.0 + 2.0 * np.diag(K))
+        Sdot = (4.0 / np.pi) / np.sqrt(np.maximum(outer - 4.0 * K * K, 1e-300))
+        S = (2.0 / np.pi) * np.arcsin(np.clip(2.0 * K / np.sqrt(outer), -1.0, 1.0))
+        Theta = arch.lambda_b / ell + arch.lambda_w * S + Sdot * Theta
+        K = S
+    assert np.array_equal(kp.K, K) and np.array_equal(kp.Theta, Theta)
 
 
 def test_input_set_rejects_nonfinite():
