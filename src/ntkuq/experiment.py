@@ -32,7 +32,7 @@ from .infwidth import (
     gd_evolve,
 )
 from .loss_stats import loss_stats
-from .finite_width import TrainConfig, _jackknife_se, run_ensemble
+from .finite_width import TrainConfig, _jackknife_se, _sample_eps, run_ensemble
 from .scaling import epsilon_flatness_check, fit_power_law
 
 __all__ = ["ExperimentPlan", "RunResult", "run_plan", "emit_plot_data", "load_plan_file"]
@@ -384,8 +384,8 @@ def emit_plot_data(store_dir, quantity, out_path=None):
                 y = float(arr.std(ddof=1))
                 y_err = _jackknife_se(arr, lambda a: a.std(ddof=1))
             else:
-                y = float(arr.std(ddof=1) / arr.mean())
-                y_err = _jackknife_se(arr, lambda a: a.std(ddof=1) / a.mean())
+                y = _sample_eps(arr)
+                y_err = _jackknife_se(arr, _sample_eps)
             rows.append((float(n_d), y, y_err, "finite"))
 
     if not rows:

@@ -14,6 +14,7 @@ from scipy.special import erf
 
 from .errors import DivergenceError
 from .kernels import label_matrix
+from .loss_stats import _eps
 
 __all__ = [
     "MlpState",
@@ -323,6 +324,11 @@ def _jackknife_se(values, stat):
     return float(np.sqrt((n - 1) / n * np.sum((loo - center) ** 2)))
 
 
+def _sample_eps(losses):
+    """Sample eps_L = std / mean (ddof=1) of member losses, by the rule of loss_stats._eps."""
+    return _eps(losses.mean(), losses.var(ddof=1))
+
+
 def run_ensemble(split, arch, cfg, n_members, base_seed):
     """Train n_members networks differing only in their init seed.
 
@@ -346,10 +352,8 @@ def run_ensemble(split, arch, cfg, n_members, base_seed):
     if ok.size >= 2:
         mu = float(np.mean(ok))
         var = float(np.var(ok, ddof=1))
-        eps = float(np.sqrt(var) / mu) if mu > 0 else float("nan")
-        eps_se = _jackknife_se(
-            ok, lambda a: a.std(ddof=1) / a.mean() if a.mean() > 0 else np.nan
-        )
+        eps = _eps(mu, var)
+        eps_se = _jackknife_se(ok, _sample_eps)
     else:
         mu = var = eps = eps_se = float("nan")
     return EnsembleSummary(

@@ -17,6 +17,7 @@ import scipy.linalg
 
 from .errors import DivergenceError, IllConditionedError
 from .kernels import _symmetric, label_matrix
+from .loss_stats import _mean_loss
 
 __all__ = [
     "PredictivePosterior",
@@ -211,14 +212,6 @@ def bayesian_posterior(kp, train_ids, test_ids, labels):
     return _posterior_from_blocks(K_A, K_B, K_A, K_B, K_BB, y, "K_A", "bayesian")
 
 
-def _validation_mean_loss(mean, cov, val_rows, val_labels):
-    d = np.diag(cov)[val_rows]
-    delta = val_labels - mean[val_rows]
-    n_out = val_labels.shape[1]
-    per_point = n_out * d + np.sum(delta * delta, axis=1)
-    return float(np.sum(per_point) / (2.0 * val_rows.size * n_out))
-
-
 def gd_evolve(kp, train_ids, test_ids, labels, eta=None, stop=None):
     """Evolve the joint output distribution under the linear GD map.
 
@@ -268,7 +261,7 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, stop=None):
     mean = np.zeros((n, y.shape[1]))
     cov = K_joint
 
-    initial_val = _validation_mean_loss(mean, cov, val_rows, val_labels)
+    initial_val = _mean_loss(np.diag(cov)[val_rows], val_labels - mean[val_rows])
     best_val = initial_val
     # Each check rebinds mean and cov to new arrays and never writes into
     # them, so best keeps references, not copies.
@@ -279,7 +272,7 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, stop=None):
         mean = A @ mean + b
         cov = A @ cov @ A.T
         step += stop.check_every
-        val = _validation_mean_loss(mean, cov, val_rows, val_labels)
+        val = _mean_loss(np.diag(cov)[val_rows], val_labels - mean[val_rows])
         if not np.isfinite(val) or val > DIVERGENCE_FACTOR * max(initial_val, 1e-300):
             raise DivergenceError(
                 "validation loss %g exceeded %g x initial after %d steps (eta=%g too large)"

@@ -28,12 +28,12 @@ _ARCSIN_CLAMP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class InputSet:
-    """A set of input vectors, rows = examples, columns = features."""
+    """A set of input vectors, rows = examples, columns = features (stored C-contiguous)."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.ascontiguousarray(np.atleast_2d(np.asarray(self.points, dtype=float)))
         if pts.ndim != 2 or pts.shape[1] < 1:
             raise ValueError("points must be a 2D array with >= 1 feature")
         if not np.all(np.isfinite(pts)):
@@ -135,14 +135,42 @@ class KernelPair:
         return self.K.shape[0]
 
 
-def _check_pair_covariance(k_aa, k_ab, k_bb):
-    if k_aa < 0 or k_bb < 0:
+def _erf_pair_matrices(K):
+    """Both erf pair expectations, S = E[erf erf] and Sdot = E[erf' erf'], per entry of K.
+
+    Raises ValueError on a negative diagonal entry or a discriminant
+    (1 + 2 K_aa)(1 + 2 K_bb) - 4 K_ab^2 <= 0 (equivalently, an arcsine
+    argument of magnitude >= 1); for a PSD K the discriminant is >= 1.
+    """
+    diag = np.diag(K)
+    if diag.min() < 0:
         raise ValueError("diagonal covariance entries must be >= 0")
+    # Each matrix is built in one buffer by in-place steps; once Sdot is
+    # done, their shared outer product becomes S's denominator in place.
+    d = 1.0 + 2.0 * diag
+    outer = np.outer(d, d)
+    Sdot = np.multiply(4.0, K)
+    Sdot *= K
+    np.subtract(outer, Sdot, out=Sdot)
+    if not Sdot.min() > 0:
+        raise ValueError("non-positive discriminant %g (covariance not PSD)" % Sdot.min())
+    np.sqrt(Sdot, out=Sdot)
+    np.divide(4.0 / np.pi, Sdot, out=Sdot)
+    S = np.multiply(2.0, K)
+    S /= np.sqrt(outer, out=outer)
+    np.clip(S, -1.0, 1.0, out=S)  # rounding guard only: |S| < 1 where the discriminant is > 0
+    np.arcsin(S, out=S)
+    S *= 2.0 / np.pi
+    return S, Sdot
+
+
+def _erf_pair_2x2(k_aa, k_ab, k_bb):
     if k_ab * k_ab > k_aa * k_bb + _ARCSIN_CLAMP_TOL:
         raise ValueError(
             "2x2 covariance [%g, %g; %g, %g] is not positive semidefinite"
             % (k_aa, k_ab, k_ab, k_bb)
         )
+    return _erf_pair_matrices(np.array([[k_aa, k_ab], [k_ab, k_bb]], dtype=float))
 
 
 def erf_pair_expectation(k_aa, k_ab, k_bb):
@@ -150,13 +178,7 @@ def erf_pair_expectation(k_aa, k_ab, k_bb):
 
     Closed form: (2/pi) * arcsin(2 k_ab / sqrt((1 + 2 k_aa)(1 + 2 k_bb))).
     """
-    _check_pair_covariance(k_aa, k_ab, k_bb)
-    arg = 2.0 * k_ab / np.sqrt((1.0 + 2.0 * k_aa) * (1.0 + 2.0 * k_bb))
-    if abs(arg) > 1.0:
-        if abs(arg) > 1.0 + _ARCSIN_CLAMP_TOL:
-            raise ValueError("arcsine argument %g outside [-1, 1]" % arg)
-        arg = np.clip(arg, -1.0, 1.0)
-    return (2.0 / np.pi) * np.arcsin(arg)
+    return _erf_pair_2x2(k_aa, k_ab, k_bb)[0][0, 1]
 
 
 def erf_deriv_pair_expectation(k_aa, k_ab, k_bb):
@@ -164,33 +186,7 @@ def erf_deriv_pair_expectation(k_aa, k_ab, k_bb):
 
     Closed form: (4/pi) / sqrt((1 + 2 k_aa)(1 + 2 k_bb) - 4 k_ab^2).
     """
-    _check_pair_covariance(k_aa, k_ab, k_bb)
-    disc = (1.0 + 2.0 * k_aa) * (1.0 + 2.0 * k_bb) - 4.0 * k_ab * k_ab
-    if disc <= 0:
-        raise ValueError("non-positive discriminant %g (covariance not PSD)" % disc)
-    return (4.0 / np.pi) / np.sqrt(disc)
-
-
-def _erf_pair_matrices(K):
-    # Vectorized erf_pair_expectation and erf_deriv_pair_expectation, each
-    # built in one buffer by in-place steps in the scalar forms' order; once
-    # Sdot is done, their shared outer product becomes S's denominator in place.
-    d = 1.0 + 2.0 * np.diag(K)
-    outer = np.outer(d, d)
-    # Round-off on degenerate pairs (duplicated points) can push the
-    # discriminant slightly below its exact positive value.
-    Sdot = np.multiply(4.0, K)
-    Sdot *= K
-    np.subtract(outer, Sdot, out=Sdot)
-    np.maximum(Sdot, 1e-300, out=Sdot)
-    np.sqrt(Sdot, out=Sdot)
-    np.divide(4.0 / np.pi, Sdot, out=Sdot)
-    S = np.multiply(2.0, K)
-    S /= np.sqrt(outer, out=outer)
-    np.clip(S, -1.0, 1.0, out=S)
-    np.arcsin(S, out=S)
-    S *= 2.0 / np.pi
-    return S, Sdot
+    return _erf_pair_2x2(k_aa, k_ab, k_bb)[1][0, 1]
 
 
 def build_kernel_pair(inputs, arch):
@@ -204,9 +200,7 @@ def build_kernel_pair(inputs, arch):
         inputs = InputSet(inputs)
     X = inputs.points
     n0 = inputs.input_dim
-    K = X @ X.T / n0
-    # Only a BLAS gemm (some strided X), not syrk, can make X X^T asymmetric.
-    gram_symmetric = np.array_equal(K, K.T)
+    K = X @ X.T / n0  # X is C-contiguous, so this is a BLAS syrk: exactly symmetric
     Theta = arch.lambda_b + arch.lambda_w * K
     for ell in range(1, arch.depth):
         S, Sdot = _erf_pair_matrices(K)
@@ -218,8 +212,6 @@ def build_kernel_pair(inputs, arch):
         Theta += Sdot
         del Sdot  # freed before the next layer allocates its temporaries
         K = S
-    if not gram_symmetric:
-        K, Theta = 0.5 * (K + K.T), 0.5 * (Theta + Theta.T)
     return KernelPair(K=K, Theta=Theta, layer=arch.depth)
 
 

@@ -48,11 +48,13 @@ def loss_mean(post, labels):
 
     mu_L = 1/(2 B n_out) * sum_b (n_out * Sigma_bb + ||Delta_b||^2).
     """
-    delta = _residuals(post, labels)
-    n_out = post.n_out
-    b = post.n_test
-    sigma_diag = post.var
-    per_point = n_out * sigma_diag + np.sum(delta * delta, axis=1)
+    return _mean_loss(post.var, _residuals(post, labels))
+
+
+def _mean_loss(var, delta):
+    """mu_L from the per-point output variances and the (points, n_out) residuals."""
+    b, n_out = delta.shape
+    per_point = n_out * var + np.sum(delta * delta, axis=1)
     return float(np.sum(per_point) / (2.0 * b * n_out))
 
 

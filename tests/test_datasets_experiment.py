@@ -2,6 +2,7 @@ import csv
 from dataclasses import replace
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -442,6 +443,22 @@ def test_emit_plot_data(tmp_path):
     with pytest.raises(ValueError):
         emit_plot_data(str(tmp_path / "store"), "nonsense")
 
+
+
+def test_emit_plot_data_zero_loss_ensemble(tmp_path):
+    # Members that all report 0 loss have mu_L = 0, where eps_L is undefined:
+    # the row is NaN, and no division warning is raised on the way.
+    store = tmp_path / "store"
+    store.mkdir()
+    with open(store / "ensemble.jsonl", "w") as f:
+        for seed in range(3):
+            rec = {"N_D": 8, "seed": seed, "final_test_loss": 0.0, "stop_reason": "max_epochs"}
+            f.write(json.dumps(rec) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = emit_plot_data(str(store), "eps_L")
+    assert len(rows) == 1 and rows[0][0] == 8.0 and rows[0][3] == "finite"
+    assert np.isnan(rows[0][1]) and np.isnan(rows[0][2])
 
 def test_load_plan_file(tmp_path):
     path = tmp_path / "plan.txt"

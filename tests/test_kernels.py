@@ -15,6 +15,7 @@ from ntkuq import (
     save_kernel_pair,
 )
 from ntkuq.finite_width import forward, init_network
+from ntkuq.kernels import _erf_pair_matrices
 
 from oracles import erf_deriv_product, erf_product, gauss_hermite_pair
 
@@ -79,6 +80,40 @@ def test_quadrature_equivalence_grid():
                     gauss_hermite_pair(erf_deriv_product, k_aa, k_ab, k_bb), abs=1e-8
                 )
 
+
+
+def test_erf_pair_matrices_reject_negative_diagonal():
+    # Every discriminant here is positive, so only the diagonal rule can fire.
+    with pytest.raises(ValueError, match="diagonal"):
+        _erf_pair_matrices(np.array([[-0.1, 0.0], [0.0, 1.0]]))
+
+
+def test_erf_pair_matrices_reject_nonpositive_discriminant():
+    # (1 + 0.2)^2 - 4 < 0: an arcsine argument beyond 1, raised, not clipped.
+    bad = np.array([[0.1, 1.0], [1.0, 0.1]])
+    embedded = np.eye(3)
+    embedded[:2, :2] = bad
+    for K in (bad, embedded):
+        with pytest.raises(ValueError, match="discriminant"):
+            _erf_pair_matrices(K)
+
+
+def test_scalar_forms_are_the_matrix_entries():
+    # Criterion 1's grid, as 2x2 blocks of one block-diagonal K: each scalar
+    # form must give the bits of its entry in the matrix path.
+    grid = [
+        (k_aa, rho * np.sqrt(k_aa * k_bb), k_bb)
+        for k_aa in (0.2, 0.7, 1.5)
+        for k_bb in (0.2, 0.7, 1.5)
+        for rho in (-0.9, -0.3, 0.3, 0.9)
+    ]
+    K = np.zeros((2 * len(grid), 2 * len(grid)))
+    for i, (k_aa, k_ab, k_bb) in enumerate(grid):
+        K[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[k_aa, k_ab], [k_ab, k_bb]]
+    S, Sdot = _erf_pair_matrices(K)
+    for i, (k_aa, k_ab, k_bb) in enumerate(grid):
+        assert erf_pair_expectation(k_aa, k_ab, k_bb) == S[2 * i, 2 * i + 1]
+        assert erf_deriv_pair_expectation(k_aa, k_ab, k_bb) == Sdot[2 * i, 2 * i + 1]
 
 def test_first_layer_single_input():
     kp = build_kernel_pair(
