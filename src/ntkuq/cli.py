@@ -14,7 +14,7 @@ from .loss_stats import loss_stats
 from .datasets import Dataset, load_event_vectors, load_idx, make_synthetic
 from .finite_width import TrainConfig, run_ensemble
 from .scaling import fit_power_law
-from .experiment import ExperimentPlan, emit_plot_data, load_plan_file, run_plan
+from .experiment import emit_plot_data, plan_from_file, run_plan
 
 
 def _add_arch_flags(p):
@@ -141,89 +141,8 @@ def _cmd_ensemble_run(args):
     )
 
 
-# Every key _plan_from_file reads. Some are read only when others are set
-# (the training keys need ensemble_size >= 2), so the file is checked
-# against this whole list, not against the keys one plan happens to use.
-PLAN_KEYS = (
-    "sizes", "output_dir", "master_seed", "test_size", "val_size", "n_points",
-    "depth", "input_dim", "width", "n_out", "lambda_b", "lambda_w", "lambda_b_sweep",
-    "infinite_width", "bayesian", "ensemble_size",
-    "eta", "optimizer", "patience", "max_epochs",
-    "generator", "data_seed", "noise", "teacher_depth", "teacher_width",
-)
-
-
-def _plan_from_file(args):
-    raw = load_plan_file(args.plan)
-    unknown = sorted(set(raw) - set(PLAN_KEYS))
-    if unknown:
-        raise ValueError("unknown plan keys: %s" % ", ".join(unknown))
-
-    def get(key, cast, default):
-        return cast(raw[key]) if key in raw else default
-
-    def flag(key, default):
-        value = raw.get(key, default).lower()
-        if value not in ("true", "false"):
-            raise ValueError("plan key %s must be true or false, not %r" % (key, raw[key]))
-        return value == "true"
-
-    sizes = [int(s) for s in raw["sizes"].split(",")]
-    input_dim = get("input_dim", int, 8)
-    arch = ArchitectureConfig(
-        depth=get("depth", int, 3),
-        input_dim=input_dim,
-        hidden_width=get("width", int, 64),
-        n_out=get("n_out", int, 1),
-        lambda_b=get("lambda_b", float, 1.0),
-        lambda_w=get("lambda_w", float, 1.0),
-    )
-    train_cfg = None
-    if get("ensemble_size", int, 0) >= 2:
-        train_cfg = TrainConfig(
-            eta=get("eta", float, 1.0),
-            lambda_b=arch.lambda_b,
-            lambda_w=arch.lambda_w,
-            optimizer=raw.get("optimizer", "full_batch_gd"),
-            patience=get("patience", int, 200),
-            max_epochs=get("max_epochs", int, 2000),
-        )
-    sweep = raw.get("lambda_b_sweep", "")
-    plan = ExperimentPlan(
-        sizes=sizes,
-        arch=arch,
-        output_dir=args.out or raw["output_dir"],
-        master_seed=get("master_seed", int, 0),
-        test_size=get("test_size", int, 64),
-        val_size=get("val_size", int, 16),
-        ensemble_size=get("ensemble_size", int, 0),
-        train_cfg=train_cfg,
-        infinite_width=flag("infinite_width", "true"),
-        bayesian=flag("bayesian", "false"),
-        lambda_b_sweep=[float(v) for v in sweep.split(",") if v],
-    )
-    n_points = get(
-        "n_points", int, plan.test_size + plan.val_size + max(sizes)
-    )
-    teacher_arch = ArchitectureConfig(
-        depth=get("teacher_depth", int, 3),
-        input_dim=input_dim,
-        hidden_width=get("teacher_width", int, 32),
-        n_out=arch.n_out,
-    )
-    dataset = make_synthetic(
-        raw.get("generator", "teacher"),
-        n_points,
-        input_dim,
-        get("data_seed", int, 0),
-        teacher_arch=teacher_arch,
-        noise=get("noise", float, 0.0),
-    )
-    return plan, dataset
-
-
 def _cmd_sweep_run(args):
-    plan, dataset = _plan_from_file(args)
+    plan, dataset = plan_from_file(args.plan, args.out)
     result = run_plan(plan, dataset)
     print(
         json.dumps(

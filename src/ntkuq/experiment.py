@@ -17,12 +17,14 @@ kernel.
 from dataclasses import dataclass, field, replace
 import csv
 import hashlib
+import io
 import json
 import os
 
 import numpy as np
 
 from .errors import IllConditionedError, NtkuqError
+from .datasets import make_synthetic
 from .kernels import ArchitectureConfig, InputSet, build_kernel_pair
 from .infwidth import (
     EarlyStopPolicy,
@@ -35,7 +37,9 @@ from .loss_stats import loss_stats
 from .finite_width import TrainConfig, _jackknife_se, _sample_eps, run_ensemble
 from .scaling import epsilon_flatness_check, fit_power_law
 
-__all__ = ["ExperimentPlan", "RunResult", "run_plan", "emit_plot_data", "load_plan_file"]
+__all__ = [
+    "ExperimentPlan", "RunResult", "run_plan", "emit_plot_data", "load_plan_file", "plan_from_file"
+]
 
 _FMT = "%.17g"
 
@@ -51,7 +55,9 @@ INFWIDTH_COLUMNS = [
     "config_hash",
     "master_seed",
 ]
-SUMMARY_COLUMNS = ["N_D", "width", "optimizer", "mu_L", "var_L", "eps_L", "n_ok", "n_diverged"]
+SUMMARY_COLUMNS = [
+    "N_D", "lambda_b", "width", "optimizer", "mu_L", "var_L", "eps_L", "n_ok", "n_diverged"
+]
 FIT_COLUMNS = ["quantity", "n_points", "exponent", "slope_sigma", "intercept", "r_squared"]
 
 
@@ -76,6 +82,10 @@ class ExperimentPlan:
         if len(set(sizes)) != len(sizes):
             raise ValueError("sizes must be distinct")
         object.__setattr__(self, "sizes", sizes)
+        sweep = [float(v) for v in self.lambda_b_sweep]
+        if len(set(sweep)) != len(sweep) or not all(v >= 0 for v in sweep):
+            raise ValueError("lambda_b_sweep values must be distinct and >= 0")
+        object.__setattr__(self, "lambda_b_sweep", sweep)
         if self.test_size < 1 or self.val_size < 1:
             raise ValueError("test_size and val_size must be >= 1")
 
@@ -91,21 +101,29 @@ class RunResult:
     config_hash: str
 
 
-def _config_hash(plan):
-    parts = []
-    for key in sorted(plan.__dataclass_fields__):
-        parts.append("%s=%r" % (key, getattr(plan, key)))
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+def _config_hash(plan, dataset):
+    """Hash of the plan without output_dir and of the dataset's input and label bytes."""
+    digest = hashlib.sha256(repr(replace(plan, output_dir=None)).encode())
+    digest.update(dataset.inputs.points.tobytes())
+    digest.update(dataset.labels.tobytes())
+    return digest.hexdigest()[:16]
 
 
-def _append_csv(path, columns, rows):
-    new = not os.path.exists(path)
-    with open(path, "a", newline="") as f:
-        writer = csv.writer(f)
-        if new:
-            writer.writerow(columns)
-        for row in rows:
-            writer.writerow(row)
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _jsonl_text(records):
+    return "".join(json.dumps(rec) + "\n" for rec in records)
+
+
+def _write_file(path, text):
+    """Write text to path whole: to a temporary file, then renamed into place."""
+    with open(path + ".tmp", "w", newline="") as f:
+        f.write(text)
+    os.replace(path + ".tmp", path)
 
 
 def _fmt(value):
@@ -161,29 +179,45 @@ def _infinite_cell(kp, labels, train_ids, val_ids, test_ids, bayesian):
 
 
 def _cell_scalars(kp, labels, n_d, val_ids, test_ids, bayesian):
-    """(loss stats, method, steps_used) of one cell, or the error that skips it.
+    """(loss stats, method, steps_used) of one cell; raises the error that skips it.
 
     Returns scalars only, so no posterior outlives its cell.
     """
-    try:
-        post = _infinite_cell(kp, labels, np.arange(n_d), val_ids, test_ids, bayesian)
-    except (IllConditionedError, NtkuqError) as exc:
-        return str(exc)
+    post = _infinite_cell(kp, labels, np.arange(n_d), val_ids, test_ids, bayesian)
     return loss_stats(post, labels[test_ids]), post.method, post.steps_used
+
+
+def _fits(infwidth_rows, summary_rows):
+    """Power-law fits of mu_L, sigma_L and eps_L over N_D, read from the rows.
+
+    The ensemble summaries are the finite series. A quantity is fitted when
+    it has at least three finite, positive points at distinct sizes.
+    """
+    cells = [dict(zip(INFWIDTH_COLUMNS, row)) for row in infwidth_rows]
+    cells += [dict(zip(SUMMARY_COLUMNS, row), series="finite") for row in summary_rows]
+    for cell in cells:
+        cell["sigma_L"] = np.sqrt(float(cell["var_L"]))
+    fits = {}
+    for name in dict.fromkeys(cell["series"] for cell in cells):
+        for quantity in ("mu_L", "sigma_L", "eps_L"):
+            pts = [(c["N_D"], float(c[quantity])) for c in cells if c["series"] == name]
+            pts = [(n, v) for n, v in pts if np.isfinite(v) and v > 0]
+            if len(pts) >= 3 and len({n for n, _ in pts}) == len(pts):
+                fits["%s:%s" % (name, quantity)] = fit_power_law(pts)
+    return fits
 
 
 def run_plan(plan, dataset):
     """Execute every (size, lambda_b) cell of a plan and persist results."""
     os.makedirs(plan.output_dir, exist_ok=True)
-    cfg_hash = _config_hash(plan)
+    cfg_hash = _config_hash(plan, dataset)
     test_ids, val_ids, pool = _splits(plan, dataset)
-    lambdas = list(plan.lambda_b_sweep) or [plan.arch.lambda_b]
+    lambdas = plan.lambda_b_sweep or [float(plan.arch.lambda_b)]
 
     infwidth_rows = []
     summary_rows = []
     member_rows = []
     skipped = []
-    series_values = {}  # (series, quantity) -> list of (N_D, value)
     series = []
     if plan.infinite_width:
         series.append(("infinite", False))
@@ -199,37 +233,43 @@ def run_plan(plan, dataset):
     kernel_val = np.arange(n_max, n_max + val_ids.size)
     kernel_test = np.arange(n_max + val_ids.size, kernel_rows.size)
     # lambda_b enters Theta only, so a Bayesian cell (which uses K alone) is
-    # computed once per N_D and its scalars are reused for every lambda_b.
+    # solved once per N_D, at the first lambda_b; its scalars, or the error
+    # that skipped it, are reused for every lambda_b.
     bayes_cells = {}
+    bayes_errors = {}
 
-    for lam_b in lambdas:
-        arch = replace(plan.arch, lambda_b=float(lam_b))
+    for lam_index, lam_b in enumerate(lambdas):
+        arch = replace(plan.arch, lambda_b=lam_b)
         # Release the previous kernel before building the next; after the
         # first lambda_b, only the infinite-width cells need one.
         kp = None
-        if plan.infinite_width or (plan.bayesian and not bayes_cells):
+        if plan.infinite_width or (plan.bayesian and lam_index == 0):
             kp = build_kernel_pair(kernel_inputs, arch)
         for n_d in plan.sizes:
             train_rows = pool[:n_d]
-            cell = {"N_D": n_d, "lambda_b": float(lam_b)}
+            cell = {"N_D": n_d, "lambda_b": lam_b}
             for name, is_bayes in series:
-                if is_bayes and n_d in bayes_cells:
-                    outcome = bayes_cells[n_d]
-                else:
-                    outcome = _cell_scalars(
-                        kp, kernel_labels, n_d, kernel_val, kernel_test, is_bayes
-                    )
+                try:
+                    if is_bayes and n_d in bayes_errors:
+                        raise bayes_errors[n_d]
+                    if is_bayes and n_d in bayes_cells:
+                        stats, method, steps_used = bayes_cells[n_d]
+                    else:
+                        stats, method, steps_used = _cell_scalars(
+                            kp, kernel_labels, n_d, kernel_val, kernel_test, is_bayes
+                        )
+                        if is_bayes:
+                            bayes_cells[n_d] = stats, method, steps_used
+                except (IllConditionedError, NtkuqError) as exc:
                     if is_bayes:
-                        bayes_cells[n_d] = outcome
-                if isinstance(outcome, str):
-                    skipped.append({"series": name, **cell, "error": outcome})
+                        bayes_errors[n_d] = exc
+                    skipped.append({"series": name, **cell, "error": str(exc)})
                     continue
-                stats, method, steps_used = outcome
                 infwidth_rows.append(
                     [
                         name,
                         n_d,
-                        _fmt(float(lam_b)),
+                        _fmt(lam_b),
                         _fmt(stats.mu_L),
                         _fmt(stats.var_L),
                         _fmt(stats.eps_L),
@@ -239,17 +279,11 @@ def run_plan(plan, dataset):
                         plan.master_seed,
                     ]
                 )
-                for quantity, value in (
-                    ("mu_L", stats.mu_L),
-                    ("sigma_L", np.sqrt(stats.var_L)),
-                    ("eps_L", stats.eps_L),
-                ):
-                    series_values.setdefault((name, quantity), []).append((n_d, value))
 
             if plan.ensemble_size >= 2:
                 cfg = plan.train_cfg or TrainConfig(eta=1.0)
                 eta = cfg.eta / lam_b if lam_b > 1 else cfg.eta
-                cfg = replace(cfg, eta=eta, lambda_b=float(lam_b), lambda_w=arch.lambda_w)
+                cfg = replace(cfg, eta=eta, lambda_b=lam_b, lambda_w=arch.lambda_w)
                 split = {
                     "x_train": dataset.inputs.points[train_rows],
                     "y_train": dataset.labels[train_rows],
@@ -259,12 +293,13 @@ def run_plan(plan, dataset):
                     "y_test": dataset.labels[test_ids],
                 }
                 base_seed = plan.master_seed + 10_000 * (
-                    plan.sizes.index(n_d) + len(plan.sizes) * lambdas.index(lam_b)
+                    plan.sizes.index(n_d) + len(plan.sizes) * lam_index
                 )
                 summary = run_ensemble(split, arch, cfg, plan.ensemble_size, base_seed)
                 summary_rows.append(
                     [
                         n_d,
+                        _fmt(lam_b),
                         arch.hidden_width,
                         cfg.optimizer,
                         _fmt(summary.mu_L),
@@ -288,49 +323,24 @@ def run_plan(plan, dataset):
                             "config_hash": cfg_hash,
                         }
                     )
-                for quantity, value in (
-                    ("mu_L", summary.mu_L),
-                    ("sigma_L", np.sqrt(summary.var_L)),
-                    ("eps_L", summary.eps_L),
-                ):
-                    series_values.setdefault(("finite", quantity), []).append(
-                        (n_d, value)
-                    )
 
-    fits = {}
-    for (name, quantity), pts in series_values.items():
-        clean = [(n, v) for n, v in pts if np.isfinite(v) and v > 0]
-        if len(clean) >= 3 and len({n for n, _ in clean}) == len(clean):
-            fits["%s:%s" % (name, quantity)] = fit_power_law(clean)
-
+    fits = _fits(infwidth_rows, summary_rows)
     flatness = epsilon_flatness_check(fits.get("infinite:eps_L"))
-
-    _append_csv(os.path.join(plan.output_dir, "infwidth.csv"), INFWIDTH_COLUMNS, infwidth_rows)
-    _append_csv(
-        os.path.join(plan.output_dir, "ensemble_summary.csv"), SUMMARY_COLUMNS, summary_rows
-    )
-    with open(os.path.join(plan.output_dir, "ensemble.jsonl"), "a") as f:
-        for rec in member_rows:
-            f.write(json.dumps(rec) + "\n")
     fit_rows = [
         [name, fit.n_points, _fmt(fit.exponent), _fmt(fit.slope_sigma), _fmt(fit.intercept), _fmt(fit.r_squared)]
         for name, fit in sorted(fits.items())
     ]
-    _append_csv(os.path.join(plan.output_dir, "fits.csv"), FIT_COLUMNS, fit_rows)
-    with open(os.path.join(plan.output_dir, "flatness.json"), "w") as f:
-        json.dump(
-            {
-                "verdict": flatness.verdict,
-                "exponent": flatness.exponent,
-                "slope_sigma": flatness.slope_sigma,
-                "threshold": flatness.threshold,
-            },
-            f,
-        )
-    if skipped:
-        with open(os.path.join(plan.output_dir, "skipped.jsonl"), "a") as f:
-            for rec in skipped:
-                f.write(json.dumps(rec) + "\n")
+    verdict = {k: getattr(flatness, k) for k in ("verdict", "exponent", "slope_sigma", "threshold")}
+    # Every file is written whole, so a rerun replaces an earlier run's store.
+    for name, text in {
+        "infwidth.csv": _csv_text([INFWIDTH_COLUMNS] + infwidth_rows),
+        "ensemble_summary.csv": _csv_text([SUMMARY_COLUMNS] + summary_rows),
+        "ensemble.jsonl": _jsonl_text(member_rows),
+        "fits.csv": _csv_text([FIT_COLUMNS] + fit_rows),
+        "flatness.json": json.dumps(verdict),
+        "skipped.jsonl": _jsonl_text(skipped),
+    }.items():
+        _write_file(os.path.join(plan.output_dir, name), text)
 
     return RunResult(
         output_dir=plan.output_dir,
@@ -392,19 +402,16 @@ def emit_plot_data(store_dir, quantity, out_path=None):
         raise ValueError("no rows found for quantity %r in %s" % (quantity, store_dir))
     rows.sort(key=lambda r: (r[3], r[0]))
     if out_path is not None:
-        with open(out_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["x", "y", "y_err", "series"])
-            for x, y, y_err, series in rows:
-                writer.writerow([_fmt(x), _fmt(y), _fmt(y_err), series])
+        table = [[_fmt(x), _fmt(y), _fmt(y_err), series] for x, y, y_err, series in rows]
+        _write_file(out_path, _csv_text([["x", "y", "y_err", "series"]] + table))
     return rows
 
 
 def load_plan_file(path):
-    """Parse a key = value plan file into keyword arguments.
+    """Parse a key = value plan file into a {key: value string} dict.
 
-    Recognized keys mirror ExperimentPlan and its nested configs; list
-    values are comma-separated. A key given twice raises ValueError.
+    plan_from_file reads the keys; list values are comma-separated. A key
+    given twice raises ValueError.
     """
     raw = {}
     with open(path) as f:
@@ -419,3 +426,74 @@ def load_plan_file(path):
                 raise ValueError("plan key %s given twice" % key)
             raw[key] = value
     return raw
+
+
+def plan_from_file(path, output_dir=None):
+    """(ExperimentPlan, synthetic Dataset) from a key = value plan file.
+
+    output_dir, when given, overrides the file's. Every key is read, and
+    removed as it is read, so a key left over is unknown: ValueError.
+    """
+    raw = load_plan_file(path)
+
+    def get(key, cast, default):
+        return cast(raw.pop(key)) if key in raw else default
+
+    def flag(key, default):
+        value = raw.pop(key, default)
+        if value.lower() not in ("true", "false"):
+            raise ValueError("plan key %s must be true or false, not %r" % (key, value))
+        return value.lower() == "true"
+
+    sizes = [int(s) for s in raw.pop("sizes").split(",")]
+    file_dir = raw.pop("output_dir", None)
+    output_dir = output_dir or file_dir
+    if not output_dir:
+        raise ValueError("the plan file sets no output_dir and none was given")
+    input_dim = get("input_dim", int, 8)
+    arch = ArchitectureConfig(
+        depth=get("depth", int, 3),
+        input_dim=input_dim,
+        hidden_width=get("width", int, 64),
+        n_out=get("n_out", int, 1),
+        lambda_b=get("lambda_b", float, 1.0),
+        lambda_w=get("lambda_w", float, 1.0),
+    )
+    train_cfg = TrainConfig(
+        eta=get("eta", float, 1.0),
+        lambda_b=arch.lambda_b,
+        lambda_w=arch.lambda_w,
+        optimizer=get("optimizer", str, "full_batch_gd"),
+        patience=get("patience", int, 200),
+        max_epochs=get("max_epochs", int, 2000),
+    )
+    ensemble_size = get("ensemble_size", int, 0)
+    plan = ExperimentPlan(
+        sizes=sizes,
+        arch=arch,
+        output_dir=output_dir,
+        master_seed=get("master_seed", int, 0),
+        test_size=get("test_size", int, 64),
+        val_size=get("val_size", int, 16),
+        ensemble_size=ensemble_size,
+        train_cfg=train_cfg if ensemble_size >= 2 else None,
+        infinite_width=flag("infinite_width", "true"),
+        bayesian=flag("bayesian", "false"),
+        lambda_b_sweep=[float(v) for v in get("lambda_b_sweep", str, "").split(",") if v],
+    )
+    n_points = get("n_points", int, plan.test_size + plan.val_size + max(sizes))
+    teacher_arch = ArchitectureConfig(
+        depth=get("teacher_depth", int, 3),
+        input_dim=input_dim,
+        hidden_width=get("teacher_width", int, 32),
+        n_out=arch.n_out,
+    )
+    generator = get("generator", str, "teacher")
+    data_seed = get("data_seed", int, 0)
+    noise = get("noise", float, 0.0)
+    if raw:
+        raise ValueError("unknown plan keys: %s" % ", ".join(sorted(raw)))
+    dataset = make_synthetic(
+        generator, n_points, input_dim, data_seed, teacher_arch=teacher_arch, noise=noise
+    )
+    return plan, dataset

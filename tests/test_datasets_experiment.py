@@ -32,6 +32,7 @@ from ntkuq.infwidth import (
 )
 from ntkuq.kernels import build_kernel_pair
 from ntkuq.loss_stats import loss_stats
+from ntkuq.scaling import fit_power_law
 
 
 # ---------------------------------------------------------------- datasets
@@ -170,6 +171,7 @@ def test_run_plan_rows_and_files(tmp_path):
     assert len(result.infwidth_rows) == 3
     for path in ("infwidth.csv", "fits.csv", "flatness.json"):
         assert (tmp_path / "store" / path).exists()
+    assert (tmp_path / "store" / "skipped.jsonl").read_text() == ""
     with open(tmp_path / "store" / "infwidth.csv", newline="") as f:
         recs = list(csv.DictReader(f))
     assert [int(r["N_D"]) for r in recs] == [4, 8, 16]
@@ -182,9 +184,70 @@ def test_run_plan_deterministic(tmp_path):
     ds = _small_dataset()
     r1 = run_plan(_small_plan(tmp_path / "a"), ds)
     r2 = run_plan(_small_plan(tmp_path / "b"), ds)
-    # the config hash covers output_dir, so compare the value columns only
-    strip = lambda rows: [r[:8] + r[9:] for r in rows]
-    assert strip(r1.infwidth_rows) == strip(r2.infwidth_rows)
+    # the config hash covers the plan without output_dir, and the dataset
+    assert r1.infwidth_rows == r2.infwidth_rows
+    assert r1.config_hash != run_plan(_small_plan(tmp_path / "c"), _small_dataset(seed=3)).config_hash
+    assert r1.config_hash != run_plan(_small_plan(tmp_path / "d", master_seed=4), ds).config_hash
+
+
+def test_run_plan_rerun_replaces_store(tmp_path, monkeypatch):
+    from ntkuq import experiment
+    from ntkuq.finite_width import TrainConfig
+
+    def failing_bayes(kp, train_ids, test_ids, labels):
+        if train_ids.size == 16:
+            raise IllConditionedError("K_A is singular")
+        return bayesian_posterior(kp, train_ids, test_ids, labels)
+
+    # a skipped cell, so skipped.jsonl has records to duplicate
+    monkeypatch.setattr(experiment, "bayesian_posterior", failing_bayes)
+    ds = _small_dataset()
+    kw = dict(
+        bayesian=True,
+        lambda_b_sweep=[0.5, 2.0],
+        ensemble_size=2,
+        train_cfg=TrainConfig(eta=0.5, patience=5, max_epochs=10),
+    )
+    once = run_plan(_small_plan(tmp_path / "once", **kw), ds)
+    assert once.skipped
+    for _ in range(2):
+        run_plan(_small_plan(tmp_path / "twice", **kw), ds)
+    names = sorted(p.name for p in (tmp_path / "once" / "store").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "twice" / "store").iterdir())
+    assert names == [
+        "ensemble.jsonl", "ensemble_summary.csv", "fits.csv", "flatness.json", "infwidth.csv",
+        "skipped.jsonl",
+    ]
+    for name in names:
+        once_bytes = (tmp_path / "once" / "store" / name).read_bytes()
+        assert once_bytes == (tmp_path / "twice" / "store" / name).read_bytes(), name
+
+
+def test_run_plan_fits_come_from_rows(tmp_path):
+    from ntkuq.finite_width import TrainConfig
+
+    plan = _small_plan(
+        tmp_path,
+        bayesian=True,
+        ensemble_size=3,
+        train_cfg=TrainConfig(eta=0.5, patience=10, max_epochs=30),
+        arch=ArchitectureConfig(depth=2, input_dim=3, hidden_width=16),
+    )
+    result = run_plan(plan, _small_dataset())
+    expected = {}
+    for series, rows, (n_col, mu_col, var_col, eps_col) in (
+        ("infinite", [r for r in result.infwidth_rows if r[0] == "infinite"], (1, 3, 4, 5)),
+        ("bayesian", [r for r in result.infwidth_rows if r[0] == "bayesian"], (1, 3, 4, 5)),
+        ("finite", result.summary_rows, (0, 4, 5, 6)),
+    ):
+        for quantity, value in (
+            ("mu_L", lambda r: float(r[mu_col])),
+            ("sigma_L", lambda r: np.sqrt(float(r[var_col]))),
+            ("eps_L", lambda r: float(r[eps_col])),
+        ):
+            pts = [(r[n_col], value(r)) for r in rows]
+            expected["%s:%s" % (series, quantity)] = fit_power_law(pts)
+    assert result.fits == expected
 
 
 def test_run_plan_lambda_sweep(tmp_path):
@@ -405,13 +468,21 @@ def test_run_plan_with_ensemble(tmp_path):
         ensemble_size=3,
         train_cfg=TrainConfig(eta=0.5, patience=20, max_epochs=50),
         arch=ArchitectureConfig(depth=2, input_dim=3, hidden_width=16),
+        lambda_b_sweep=[0.5, 2.0],
     )
     result = run_plan(plan, _small_dataset())
-    assert len(result.summary_rows) == 2
+    assert len(result.summary_rows) == 4
     with open(tmp_path / "store" / "ensemble.jsonl") as f:
         members = [json.loads(line) for line in f]
-    assert len(members) == 6
-    assert {m["N_D"] for m in members} == {4, 8}
+    assert len(members) == 12
+    assert {(m["N_D"], m["lambda_b"]) for m in members} == {(4, 0.5), (8, 0.5), (4, 2.0), (8, 2.0)}
+    # a summary row names its lambda_b, so a lambda_b sweep's rows differ
+    with open(tmp_path / "store" / "ensemble_summary.csv", newline="") as f:
+        recs = list(csv.DictReader(f))
+    assert list(recs[0])[:2] == ["N_D", "lambda_b"]
+    assert {(int(r["N_D"]), float(r["lambda_b"])) for r in recs} == {
+        (4, 0.5), (8, 0.5), (4, 2.0), (8, 2.0)
+    }
 
 
 def test_emit_plot_data(tmp_path):
@@ -489,6 +560,9 @@ def test_plan_validation():
         ExperimentPlan(sizes=[16, 8], arch=arch, output_dir="x")
     with pytest.raises(ValueError):
         ExperimentPlan(sizes=[8, 8], arch=arch, output_dir="x")
+    for sweep in ([0.5, 0.5], [1.0, -1.0], [1.0, float("nan")]):
+        with pytest.raises(ValueError, match="lambda_b_sweep"):
+            ExperimentPlan(sizes=[8], arch=arch, output_dir="x", lambda_b_sweep=sweep)
 
 
 # --------------------------------------------------------------------- cli
@@ -646,6 +720,8 @@ def test_cli_sweep_rejects_unknown_keys_and_flags(tmp_path, capsys):
         ("ensemble_sise = 3", ["ensemble_sise"]),
         ("bayesian = yes", ["bayesian", "yes"]),
         ("infinite_width = no", ["infinite_width", "no"]),
+        ("lambda_b_sweep = 0.5,0.5", ["lambda_b_sweep"]),
+        ("lambda_b_sweep = 1.0,-1.0", ["lambda_b_sweep"]),
     ):
         plan.write_text(base + line + "\n")
         rc = cli_main(["sweep", "run", "--plan", str(plan), "--out", str(store)])
@@ -654,9 +730,18 @@ def test_cli_sweep_rejects_unknown_keys_and_flags(tmp_path, capsys):
         assert err["error"] == "ValueError"
         assert all(word in err["message"] for word in named), err
     assert not store.exists()
-    # flags take true or false in any case
-    plan.write_text(base + "infinite_width = FALSE\nbayesian = True\n")
+    # with neither --out nor an output_dir key there is nowhere to write
+    plan.write_text(base)
+    assert cli_main(["sweep", "run", "--plan", str(plan)]) == 1
+    assert "output_dir" in json.loads(capsys.readouterr().err)["message"]
+    # flags take true or false in any case; training keys and output_dir are
+    # accepted without an ensemble and with --out, which wins
+    elsewhere = tmp_path / "elsewhere"
+    plan.write_text(
+        base + "infinite_width = FALSE\nbayesian = True\neta = 0.5\noutput_dir = %s\n" % elsewhere
+    )
     assert cli_main(["sweep", "run", "--plan", str(plan), "--out", str(store)]) == 0
+    assert not elsewhere.exists()
     with open(store / "infwidth.csv", newline="") as f:
         assert {r["series"] for r in csv.DictReader(f)} == {"bayesian"}
 
