@@ -209,9 +209,10 @@ def _fits(infwidth_rows, summary_rows):
 
 def run_plan(plan, dataset):
     """Execute every (size, lambda_b) cell of a plan and persist results."""
-    os.makedirs(plan.output_dir, exist_ok=True)
     cfg_hash = _config_hash(plan, dataset)
     test_ids, val_ids, pool = _splits(plan, dataset)
+    # The store is made only once the plan has been checked against the data.
+    os.makedirs(plan.output_dir, exist_ok=True)
     lambdas = plan.lambda_b_sweep or [float(plan.arch.lambda_b)]
 
     infwidth_rows = []

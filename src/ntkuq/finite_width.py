@@ -67,7 +67,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not self.eta > 0:  # NaN fails it too
             raise ValueError("eta must be > 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")

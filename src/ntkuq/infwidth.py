@@ -13,7 +13,7 @@ import functools
 import json
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import DivergenceError, IllConditionedError
 from .kernels import _symmetric, label_matrix
@@ -155,9 +155,9 @@ def _one_blas_thread():
     # pool's workers spin for a while after each call, so with both pools at 2
     # threads, 3 threads share 2 cores; one thread per pool is faster. It also
     # keeps the solve's bits independent of the thread count, which at some
-    # shapes changes how OpenBLAS rounds a GEMM or eigvalsh. The count is
-    # process-wide: ntkuq calls BLAS from one thread only, so only a concurrent
-    # caller's BLAS calls would also run on one thread meanwhile.
+    # shapes changes how OpenBLAS rounds a GEMM. The count is process-wide:
+    # ntkuq calls BLAS from one thread only, so only a concurrent caller's BLAS
+    # calls would also run on one thread meanwhile.
     pools = _openblas_pools()
     saved = [get() for get, _ in pools]
     for _, set_ in pools:
@@ -170,20 +170,28 @@ def _one_blas_thread():
 
 
 def _posterior_from_blocks(M_A, M_B, K_A, K_B, K_BB, y, name, method):
-    if M_A.shape[0] == 0:
+    n = M_A.shape[0]
+    if n == 0:
         raise ValueError("empty training set")
     with _one_blas_thread():
-        # 2-norm reciprocal condition of the symmetric M_A, min|lambda| / max|lambda|,
-        # without an SVD.
-        lam = np.abs(np.linalg.eigvalsh(M_A)) if np.all(np.isfinite(M_A)) else np.zeros(1)
-        rcond = lam.min() / lam.max() if lam.max() > 0 else 0.0
+        # One Bunch-Kaufman LDL^T factor of the upper triangle, with the blocked
+        # workspace: the call scipy.linalg.solve(assume_a="sym") makes. The gate
+        # is LAPACK's 1-norm reciprocal condition estimate on that factor, and
+        # the solve T = M_A^{-1} M_B reuses it.
+        rcond = 0.0
+        if np.all(np.isfinite(M_A)):
+            norm = np.abs(M_A).sum(axis=0).max()
+            lwork, _ = lapack.dsytrf_lwork(n)
+            ldl, ipiv, info = lapack.dsytrf(M_A, lwork=int(lwork))
+            if info == 0 and norm > 0:
+                rcond, _ = lapack.dsycon(ldl, ipiv, norm)
         if not rcond >= RCOND_LIMIT:
             raise IllConditionedError(
-                "%s reciprocal condition %.3g below %g; use the iterative GD path"
+                "%s 1-norm reciprocal condition estimate %.3g below %g; use the iterative GD path"
                 % (name, rcond, RCOND_LIMIT)
             )
-        # T = M_A^{-1} M_B via a symmetric solve; explicit inverses avoided.
-        T = scipy.linalg.solve(M_A, M_B, assume_a="sym")
+        # C order, as scipy.linalg.solve returns it, keeps the GEMMs' bits.
+        T = np.ascontiguousarray(lapack.dsytrs(ldl, ipiv, M_B)[0])
         mean = T.T @ y
         cov = K_BB - T.T @ K_B - K_B.T @ T + T.T @ K_A @ T
     cov = 0.5 * (cov + cov.T)

@@ -91,9 +91,10 @@ class ArchitectureConfig:
             raise ValueError("n_out must be >= 1")
         if self.input_dim < 1 or self.hidden_width < 1:
             raise ValueError("widths must be >= 1")
-        if self.lambda_w <= 0:
+        # Written so that NaN fails them too.
+        if not self.lambda_w > 0:
             raise ValueError("lambda_w must be > 0")
-        if self.lambda_b < 0:
+        if not self.lambda_b >= 0:
             raise ValueError("lambda_b must be >= 0")
 
 

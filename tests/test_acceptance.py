@@ -169,6 +169,7 @@ def test_criterion_4_init_covariance():
     _report(4, "finite/infinite at init", float(rel.max()) <= 0.15, "max rel %.3f" % rel.max())
 
 
+@pytest.mark.slow
 def test_criterion_5_trained_ensemble():
     d = 8
     data = _teacher_task(64, d, data_seed=42)
@@ -368,7 +369,8 @@ def test_criterion_11_determinism(tmp_path):
     r2 = run("b")
 
     def values(result):
-        # everything except the config hash, which covers output_dir
+        # every column except config_hash, which leaves out output_dir and
+        # so agrees as well
         inf = [row[:8] + row[9:] for row in result.infwidth_rows]
         return inf, result.summary_rows
 

@@ -180,6 +180,14 @@ def test_run_plan_rows_and_files(tmp_path):
     assert result.flatness.verdict in ("pass", "fail", "indeterminate")
 
 
+def test_run_plan_too_big_makes_no_store(tmp_path):
+    # The plan needs 8 test + 4 validation + 16 training points.
+    plan = _small_plan(tmp_path)
+    with pytest.raises(ValueError, match="plan needs 28 points but dataset has 10"):
+        run_plan(plan, _small_dataset(n=10))
+    assert not (tmp_path / "store").exists()
+
+
 def test_run_plan_deterministic(tmp_path):
     ds = _small_dataset()
     r1 = run_plan(_small_plan(tmp_path / "a"), ds)
@@ -555,6 +563,8 @@ def test_load_plan_file_rejects_repeated_key(tmp_path):
 
 
 def test_plan_validation():
+    from ntkuq.finite_width import TrainConfig
+
     arch = ArchitectureConfig(depth=2, input_dim=3)
     with pytest.raises(ValueError):
         ExperimentPlan(sizes=[16, 8], arch=arch, output_dir="x")
@@ -563,6 +573,13 @@ def test_plan_validation():
     for sweep in ([0.5, 0.5], [1.0, -1.0], [1.0, float("nan")]):
         with pytest.raises(ValueError, match="lambda_b_sweep"):
             ExperimentPlan(sizes=[8], arch=arch, output_dir="x", lambda_b_sweep=sweep)
+    nan = float("nan")
+    for bad in (dict(lambda_b=nan), dict(lambda_w=nan), dict(lambda_b=-1.0), dict(lambda_w=0.0)):
+        with pytest.raises(ValueError, match="lambda_"):
+            ArchitectureConfig(depth=2, **bad)
+    for eta in (nan, 0.0, -0.1):
+        with pytest.raises(ValueError, match="eta must be > 0"):
+            TrainConfig(eta=eta)
 
 
 # --------------------------------------------------------------------- cli

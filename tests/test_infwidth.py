@@ -183,7 +183,7 @@ def _with_spectrum(rcond, seed, n=12):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lam = np.geomspace(1.0, rcond, n)
     if seed % 2:
-        lam[1::2] *= -1.0  # indefinite: the gate uses |lambda|
+        lam[1::2] *= -1.0  # indefinite: the LDL^T gate assumes no sign
     A = (Q * lam) @ Q.T
     return 0.5 * (A + A.T)
 
@@ -195,22 +195,44 @@ def _check_conditioning(A, name):
     _posterior_from_blocks(A, zero, A, zero, np.zeros((1, 1)), zero, name, "closed_form")
 
 
-def test_conditioning_gate_is_the_2norm_rcond():
-    outcomes = []
-    for seed in range(4):
-        for rcond in [*np.geomspace(1e-16, 1e-8, 33), 0.98 * RCOND_LIMIT, 1.02 * RCOND_LIMIT]:
-            A = _with_spectrum(rcond, seed)
-            s = np.linalg.svd(A, compute_uv=False)
-            ratio = s[-1] / s[0]
-            if abs(ratio - RCOND_LIMIT) <= 1e-3 * RCOND_LIMIT:
-                continue
-            if ratio < RCOND_LIMIT:
-                with pytest.raises(IllConditionedError):
-                    _check_conditioning(A, "A")
-            else:
-                _check_conditioning(A, "A")
-            outcomes.append(ratio < RCOND_LIMIT)
-    assert len(outcomes) >= 4 * 33 and 0 < sum(outcomes) < len(outcomes)
+def _norm_1(A):
+    return np.abs(A).sum(axis=0).max()
+
+
+def _gate_passes(A):
+    try:
+        _check_conditioning(A, "A")
+    except IllConditionedError:
+        return False
+    return True
+
+
+def test_conditioning_gate_is_the_1norm_rcond_estimate():
+    # The gate is LAPACK's estimate of 1 / (|A|_1 |A^-1|_1) on the LDL^T
+    # factor. For symmetric A, rcond_2 / n <= rcond_1 <= rcond_2, and the
+    # estimate of |A^-1|_1 never overshoots, so the gate is never looser than
+    # a 2-norm gate and passes everything at rcond_2 >= n * RCOND_LIMIT.
+    counts = {"raised below": 0, "passed above n x": 0, "matched 1-norm": 0}
+    for n in (12, 40):
+        limits = (RCOND_LIMIT, n * RCOND_LIMIT)
+        nominal = [*np.geomspace(1e-16, 1e-8, 33), *(f * x for x in limits for f in (0.98, 1.02))]
+        for seed in range(4):
+            for rcond in nominal:
+                A = _with_spectrum(rcond, seed, n)
+                s = np.linalg.svd(A, compute_uv=False)
+                rcond_2 = s[-1] / s[0]
+                rcond_1 = 1.0 / (_norm_1(A) * _norm_1(np.linalg.inv(A)))
+                passed = _gate_passes(A)
+                if rcond_2 < RCOND_LIMIT:
+                    assert not passed, (n, seed, rcond_2)
+                    counts["raised below"] += 1
+                if rcond_2 >= n * RCOND_LIMIT:
+                    assert passed, (n, seed, rcond_2)
+                    counts["passed above n x"] += 1
+                if not 0.5 * RCOND_LIMIT <= rcond_1 <= 2.0 * RCOND_LIMIT:
+                    assert passed == (rcond_1 > RCOND_LIMIT), (n, seed, rcond_1)
+                    counts["matched 1-norm"] += 1
+    assert min(counts.values()) >= 4 * 2 * 10, counts
     v = np.random.default_rng(1).standard_normal(5)
     nan = np.eye(3)
     nan[0, 1] = nan[1, 0] = np.nan
@@ -432,3 +454,22 @@ def test_posterior_bits_do_not_depend_on_blas_threads(monkeypatch):
         assert np.array_equal(one.mean, two.mean) and np.array_equal(one.cov, two.cov)
         np.testing.assert_allclose(free.mean, one.mean, rtol=0, atol=1e-13)
         np.testing.assert_allclose(free.cov, one.cov, rtol=0, atol=1e-13)
+
+
+def test_posterior_bits_match_the_symmetric_solve():
+    # The gate and the solve share the factor scipy.linalg.solve(assume_a="sym")
+    # computes (upper triangle, blocked workspace), so every bit of the posterior
+    # matches the four-term formula on that solve. The lower triangle or the
+    # unblocked factor round differently at this size.
+    import scipy.linalg
+
+    kp, tr, te, y = _random_instance(90, n_train=150, n_test=150, d=24, depth=3, n_out=2)
+    K_A, K_B, K_BB = kp.K[np.ix_(tr, tr)], kp.K[np.ix_(tr, te)], kp.K[np.ix_(te, te)]
+    for route, M in ((closed_form_posterior, kp.Theta), (bayesian_posterior, kp.K)):
+        with _one_blas_thread():
+            T = scipy.linalg.solve(M[np.ix_(tr, tr)], M[np.ix_(tr, te)], assume_a="sym")
+            mean = T.T @ y
+            cov = K_BB - T.T @ K_B - K_B.T @ T + T.T @ K_A @ T
+        want = PredictivePosterior(mean=mean, cov=0.5 * (cov + cov.T), method="x")
+        got = route(kp, tr, te, y)
+        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)

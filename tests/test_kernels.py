@@ -133,6 +133,7 @@ def test_first_layer_orthogonal_inputs():
     assert kp.Theta[0, 1] == pytest.approx(3.0)
 
 
+@pytest.mark.slow
 def test_depth3_kernel_matches_wide_network_sampling():
     # Monte Carlo oracle: per-network estimate (1/n) sum_i s(z_i^(2),a) s(z_i^(2),b)
     # over 200 random width-4096 networks
