@@ -18,21 +18,15 @@ from .experiment import emit_plot_data, plan_from_file, run_plan
 
 
 def _add_arch_flags(p):
+    # The flags K and Theta depend on; ensemble run adds --width and --n-out.
     p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--n-out", type=int, default=1)
     p.add_argument("--lambda-b", type=float, default=1.0)
     p.add_argument("--lambda-w", type=float, default=1.0)
 
 
-def _arch_from_args(args, input_dim):
+def _arch_from_args(args, input_dim, **network):
     return ArchitectureConfig(
-        depth=args.depth,
-        input_dim=input_dim,
-        hidden_width=args.width,
-        n_out=args.n_out,
-        lambda_b=args.lambda_b,
-        lambda_w=args.lambda_w,
+        args.depth, input_dim, lambda_b=args.lambda_b, lambda_w=args.lambda_w, **network
     )
 
 
@@ -49,7 +43,7 @@ def _add_dataset_flags(p):
     p.add_argument("--energy-max", type=float, default=100.0)
 
 
-def _dataset_from_args(args, n_out=1):
+def _dataset_from_args(args, n_out):
     if args.idx_images:
         return load_idx(args.idx_images, args.idx_labels)
     if args.events:
@@ -100,8 +94,12 @@ def _cmd_infwidth_predict(args):
 
 
 def _cmd_ensemble_run(args):
-    dataset = _dataset_from_args(args, n_out=args.n_out)
-    arch = _arch_from_args(args, dataset.inputs.input_dim)
+    dataset = _dataset_from_args(args, 1 if args.n_out is None else args.n_out)
+    if args.n_out not in (None, dataset.n_out):
+        raise ValueError("--n-out %d but the data has %d outputs" % (args.n_out, dataset.n_out))
+    arch = _arch_from_args(
+        args, dataset.inputs.input_dim, hidden_width=args.width, n_out=dataset.n_out
+    )
     n = dataset.count
     n_test, n_val, n_train = args.test_size, args.val_size, args.train_size
     if n_test + n_val + n_train > n:
@@ -119,8 +117,6 @@ def _cmd_ensemble_run(args):
     }
     cfg = TrainConfig(
         eta=args.eta,
-        lambda_b=args.lambda_b,
-        lambda_w=args.lambda_w,
         optimizer=args.optimizer,
         minibatch=args.minibatch,
         patience=args.patience,
@@ -211,6 +207,8 @@ def build_parser():
     p = ens.add_parser("run")
     _add_dataset_flags(p)
     _add_arch_flags(p)
+    p.add_argument("--width", type=int, default=64)
+    p.add_argument("--n-out", type=int, help="default: the data's label width, or 1 for synthetic")
     p.add_argument("--train-size", type=int, default=64)
     p.add_argument("--val-size", type=int, default=16)
     p.add_argument("--test-size", type=int, default=64)

@@ -88,6 +88,8 @@ class ExperimentPlan:
         object.__setattr__(self, "lambda_b_sweep", sweep)
         if self.test_size < 1 or self.val_size < 1:
             raise ValueError("test_size and val_size must be >= 1")
+        if self.ensemble_size >= 2 and self.train_cfg is None:
+            raise ValueError("an ensemble plan needs a train_cfg")
 
 
 @dataclass(frozen=True)
@@ -282,9 +284,7 @@ def run_plan(plan, dataset):
                 )
 
             if plan.ensemble_size >= 2:
-                cfg = plan.train_cfg or TrainConfig(eta=1.0)
-                eta = cfg.eta / lam_b if lam_b > 1 else cfg.eta
-                cfg = replace(cfg, eta=eta, lambda_b=lam_b, lambda_w=arch.lambda_w)
+                cfg = replace(plan.train_cfg, eta=plan.train_cfg.eta / max(lam_b, 1.0))
                 split = {
                     "x_train": dataset.inputs.points[train_rows],
                     "y_train": dataset.labels[train_rows],
@@ -462,8 +462,6 @@ def plan_from_file(path, output_dir=None):
     )
     train_cfg = TrainConfig(
         eta=get("eta", float, 1.0),
-        lambda_b=arch.lambda_b,
-        lambda_w=arch.lambda_w,
         optimizer=get("optimizer", str, "full_batch_gd"),
         patience=get("patience", int, 200),
         max_epochs=get("max_epochs", int, 2000),

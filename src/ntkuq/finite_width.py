@@ -6,7 +6,7 @@ kernel statistics at initialization and follow the linearized GD
 dynamics during training.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _ERF_DERIV_COEF = 2.0 / math.sqrt(math.pi)
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -54,13 +55,10 @@ class MlpState:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Optimiser settings; GD takes lambda_b and lambda_w from the ArchitectureConfig."""
+
     eta: float
-    lambda_b: float = 1.0
-    lambda_w: float = 1.0
     optimizer: str = "full_batch_gd"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     minibatch: int = 1000
     patience: int = 10_000
     max_epochs: int = 100_000
@@ -184,29 +182,25 @@ def _gradients(net, X, Y, trace=None):
     return grad_w, grad_b
 
 
-def _bias_scale(lambda_b, layer_index):
-    # Layer m >= 2 biases carry lambda_b/(m-1), matching the constant the
-    # kernel/NTK recursion adds at each step; layer 1 carries lambda_b.
-    return lambda_b / max(1, layer_index)
-
-
-def gd_epoch(net, X, Y, cfg):
+def gd_epoch(net, X, Y, arch, cfg):
     """One full-batch GD step with the per-layer learning-rate tensor.
 
-    Weights move with eta * lambda_w / fan_in; biases with the per-layer
-    lambda_b scale consistent with the analytic NTK recursion.
+    Weights move with eta * arch.lambda_w / fan_in; biases with the
+    per-layer arch.lambda_b scale consistent with the analytic NTK recursion.
     """
     trace = _forward_trace(net, X)
-    return _gd_step(net, X, label_matrix(Y, *trace[0][-1].shape), cfg, trace)
+    return _gd_step(net, X, label_matrix(Y, *trace[0][-1].shape), arch, cfg, trace)
 
 
-def _gd_step(net, X, Y, cfg, trace):
+def _gd_step(net, X, Y, arch, cfg, trace):
     # gd_epoch with normalised labels, from trace = _forward_trace(net, X).
     grad_w, grad_b = _gradients(net, X, Y, trace)
     for ell in range(net.depth):
         fan_in = net.weights[ell].shape[1]
-        net.weights[ell] -= cfg.eta * (cfg.lambda_w / fan_in) * grad_w[ell]
-        net.biases[ell] -= cfg.eta * _bias_scale(cfg.lambda_b, ell) * grad_b[ell]
+        net.weights[ell] -= cfg.eta * (arch.lambda_w / fan_in) * grad_w[ell]
+        # Layer m >= 2 biases carry lambda_b/(m-1), matching the constant the
+        # kernel/NTK recursion adds at each step; layer 1 carries lambda_b.
+        net.biases[ell] -= cfg.eta * (arch.lambda_b / max(1, ell)) * grad_b[ell]
     return net
 
 
@@ -229,23 +223,24 @@ def _adam_epoch(net, X, Y, cfg, opt, rng):
         idx = order[start : start + batch]
         grad_w, grad_b = _gradients(net, X[idx], Y[idx])
         opt.t += 1
-        c1 = 1.0 - cfg.adam_beta1**opt.t
-        c2 = 1.0 - cfg.adam_beta2**opt.t
+        c1 = 1.0 - _ADAM_BETA1**opt.t
+        c2 = 1.0 - _ADAM_BETA2**opt.t
         for ell in range(net.depth):
             for g, m, v, p in (
                 (grad_w[ell], opt.m_w, opt.v_w, net.weights),
                 (grad_b[ell], opt.m_b, opt.v_b, net.biases),
             ):
-                m[ell] = cfg.adam_beta1 * m[ell] + (1.0 - cfg.adam_beta1) * g
-                v[ell] = cfg.adam_beta2 * v[ell] + (1.0 - cfg.adam_beta2) * g * g
-                p[ell] -= cfg.eta * (m[ell] / c1) / (np.sqrt(v[ell] / c2) + cfg.adam_eps)
+                m[ell] = _ADAM_BETA1 * m[ell] + (1.0 - _ADAM_BETA1) * g
+                v[ell] = _ADAM_BETA2 * v[ell] + (1.0 - _ADAM_BETA2) * g * g
+                p[ell] -= cfg.eta * (m[ell] / c1) / (np.sqrt(v[ell] / c2) + _ADAM_EPS)
     return net
 
 
-def train_with_early_stopping(net, split, cfg, val_loss_fn=None):
+def train_with_early_stopping(net, split, arch, cfg, val_loss_fn=None):
     """Train until validation loss stalls for `patience` epochs.
 
-    split is a dict with x_train/y_train/x_val/y_val/x_test/y_test.
+    split is a dict with x_train/y_train/x_val/y_val/x_test/y_test; arch
+    supplies the GD step's lambda_b and lambda_w.
     Best-validation parameters are restored before the single test-loss
     evaluation. val_loss_fn overrides the validation metric (test hook).
 
@@ -276,7 +271,7 @@ def train_with_early_stopping(net, split, cfg, val_loss_fn=None):
         if cfg.optimizer == "adam":
             _adam_epoch(net, x_tr, y_tr, cfg, opt, rng)
         else:
-            _gd_step(net, x_tr, y_tr, cfg, trace)
+            _gd_step(net, x_tr, y_tr, arch, cfg, trace)
         epoch += 1
         trace = _forward_trace(net, x_tr)
         train_loss = _mse(trace[0][-1], y_tr)
@@ -294,19 +289,14 @@ def train_with_early_stopping(net, split, cfg, val_loss_fn=None):
                 stop_reason = "patience"
                 break
 
-    if stop_reason == "divergence":
-        return EnsembleRunRecord(
-            seed=cfg.seed,
-            final_test_loss=float("nan"),
-            best_val_loss=float(best_val),
-            epochs_run=epoch,
-            stop_reason=stop_reason,
-        )
-    net.weights = best_params.weights
-    net.biases = best_params.biases
+    test_loss = float("nan")
+    if stop_reason != "divergence":
+        net.weights = best_params.weights
+        net.biases = best_params.biases
+        test_loss = mse_loss(net, x_te, y_te)
     return EnsembleRunRecord(
         seed=cfg.seed,
-        final_test_loss=mse_loss(net, x_te, y_te),
+        final_test_loss=test_loss,
         best_val_loss=float(best_val),
         epochs_run=epoch,
         stop_reason=stop_reason,
@@ -341,9 +331,8 @@ def run_ensemble(split, arch, cfg, n_members, base_seed):
     records = []
     for i in range(n_members):
         seed = base_seed + i
-        member_cfg = replace(cfg, seed=seed)
         net = init_network(arch, seed)
-        records.append(train_with_early_stopping(net, split, member_cfg))
+        records.append(train_with_early_stopping(net, split, arch, replace(cfg, seed=seed)))
 
     ok = np.array(
         [r.final_test_loss for r in records if r.stop_reason != "divergence"]

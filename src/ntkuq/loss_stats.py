@@ -64,16 +64,19 @@ def loss_variance(post, labels):
     Requires the full test-test covariance; the off-diagonal entries
     enter through the Frobenius and bilinear terms of E[L^2].
     """
+    return _moments(post, labels)[1]
+
+
+def _moments(post, labels):
+    """(mu_L, var_L), each computed once from one residual matrix."""
     if post.cov is None:
         raise ValueError("loss_variance needs the full covariance, not just the diagonal")
     delta = _residuals(post, labels)
-    n_out = post.n_out
-    b = post.n_test
+    b, n_out = delta.shape
     S = post.cov
-    s = np.diag(S)
     d2 = np.sum(delta * delta, axis=1)
 
-    sum_s = float(np.sum(s))
+    sum_s = float(np.sum(post.var))
     sum_d2 = float(np.sum(d2))
     frob = float(np.sum(S * S))
     cross = float(np.sum(S * (delta @ delta.T)))
@@ -84,13 +87,13 @@ def loss_variance(post, labels):
         + 4.0 * cross
         + sum_d2 * sum_d2
     ) / (2.0 * b * n_out) ** 2
-    mu = loss_mean(post, labels)
+    mu = _mean_loss(post.var, delta)
     var = e_l2 - mu * mu
     if var < 0:
         if var < -_VAR_CLAMP:
             raise ValueError("loss variance %g below round-off tolerance" % var)
         var = 0.0
-    return float(var)
+    return mu, float(var)
 
 
 def coefficient_of_variation(stats):
@@ -102,17 +105,16 @@ def _eps(mu, var):
     return float(np.sqrt(var) / mu) if mu > 0 else float("nan")
 
 
-def loss_stats(post, labels, method=None):
+def loss_stats(post, labels):
     """Bundle mu_L, var_L and eps_L for a posterior/label pair."""
-    mu = loss_mean(post, labels)
-    var = loss_variance(post, labels)
+    mu, var = _moments(post, labels)
     return LossStats(
         mu_L=mu,
         var_L=var,
         eps_L=_eps(mu, var),
         n_test=post.n_test,
         n_out=post.n_out,
-        method=method if method is not None else post.method,
+        method=post.method,
         eps_defined=mu > 0,
     )
 

@@ -185,7 +185,7 @@ def test_criterion_5_trained_ensemble():
     analytic = loss_stats(post, Y[te])
 
     eta = 1.0 / np.max(np.linalg.eigvalsh(kp.Theta[:16, :16]))
-    cfg = TrainConfig(eta=eta, lambda_b=1.0, lambda_w=1.0, patience=5000, max_epochs=3000)
+    cfg = TrainConfig(eta=eta, patience=5000, max_epochs=3000)
     split = dict(
         x_train=X[tr], y_train=Y[tr], x_val=X[va], y_val=Y[va], x_test=X[te], y_test=Y[te]
     )

@@ -582,6 +582,15 @@ def test_plan_validation():
             TrainConfig(eta=eta)
 
 
+def test_ensemble_plan_needs_train_cfg(tmp_path):
+    # No fallback TrainConfig: an ensemble plan states its own training settings.
+    arch = ArchitectureConfig(depth=2, input_dim=3)
+    store = tmp_path / "store"
+    with pytest.raises(ValueError, match="train_cfg"):
+        ExperimentPlan(sizes=[8], arch=arch, output_dir=str(store), ensemble_size=2)
+    assert not store.exists()
+
+
 # --------------------------------------------------------------------- cli
 
 
@@ -683,6 +692,47 @@ def test_cli_ensemble_run(capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["n_ok"] == 3
     assert rec["mu_L"] > 0
+
+
+def _cli_idx_ensemble(tmp_path, *extra):
+    images = np.random.default_rng(5).integers(0, 256, size=(60, 2, 2), dtype=np.uint8)
+    img_path, lab_path = _write_idx(tmp_path, images, np.arange(60) % 10)
+    return cli_main(
+        ["ensemble", "run", "--idx-images", str(img_path), "--idx-labels", str(lab_path)]
+        + ["--depth", "2", "--width", "8", "--train-size", "16", "--val-size", "8"]
+        + ["--test-size", "16", "--members", "2", "--eta", "0.5", "--max-epochs", "5"]
+        + list(extra)
+    )
+
+
+def test_cli_ensemble_run_takes_n_out_from_idx_data(tmp_path, capsys):
+    assert _cli_idx_ensemble(tmp_path) == 0
+    assert json.loads(capsys.readouterr().out)["n_ok"] == 2
+    assert _cli_idx_ensemble(tmp_path, "--n-out", "10") == 0
+    capsys.readouterr()
+    assert _cli_idx_ensemble(tmp_path, "--n-out", "3") == 1
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "--n-out 3" in message and "10 outputs" in message
+
+
+@pytest.mark.parametrize("flag", ["--width", "--n-out"])
+@pytest.mark.parametrize("command", ["kernel", "infwidth"])
+def test_cli_analytic_commands_reject_network_flags(tmp_path, capsys, command, flag):
+    # K and Theta depend on neither the hidden width nor the output width.
+    X = np.random.default_rng(0).standard_normal((6, 3))
+    np.save(tmp_path / "x.npy", X)
+    np.save(tmp_path / "y.npy", np.zeros((4, 1)))
+    args = {
+        "kernel": ["kernel", "build"],
+        "infwidth": ["infwidth", "predict", "--labels", str(tmp_path / "y.npy"), "--n-train", "4"],
+    }[command]
+    args += ["--inputs", str(tmp_path / "x.npy"), "--out", str(tmp_path / "out")]
+    assert cli_main(args) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(args + [flag, "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s 7" % flag in capsys.readouterr().err
 
 
 def test_cli_sweep_fit_emit(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ def test_gd_zero_residual_leaves_parameters():
     X = np.random.default_rng(4).standard_normal((6, 4))
     Y = forward(net, X)
     before = copy.deepcopy(net.weights)
-    gd_epoch(net, X, Y, TrainConfig(eta=0.5))
+    gd_epoch(net, X, Y, arch, TrainConfig(eta=0.5))
     for w0, w1 in zip(before, net.weights):
         assert np.array_equal(w0, w1)
 
@@ -124,7 +125,7 @@ def test_learning_rate_tensor_scaling():
         # break the zero-bias symmetry so bias gradients are generic
         before_w = [w.copy() for w in net.weights]
         before_b = [b.copy() for b in net.biases]
-        gd_epoch(net, X, Y, TrainConfig(eta=0.1, lambda_b=lambda_b, lambda_w=1.0))
+        gd_epoch(net, X, Y, replace(arch, lambda_b=lambda_b), TrainConfig(eta=0.1))
         dw = [w - w0 for w, w0 in zip(net.weights, before_w)]
         db = [b - b0 for b, b0 in zip(net.biases, before_b)]
         return dw, db
@@ -143,9 +144,9 @@ def test_depth1_scalar_net_recovers_least_squares():
     X = rng.standard_normal((20, 3))
     Y = rng.standard_normal((20, 1))
     net = init_network(arch, seed=8)
-    cfg = TrainConfig(eta=1.0, lambda_b=1.0, lambda_w=1.0)
+    cfg = TrainConfig(eta=1.0)
     for _ in range(20000):
-        gd_epoch(net, X, Y, cfg)
+        gd_epoch(net, X, Y, arch, cfg)
     # normal-equations oracle with intercept
     A = np.column_stack([X, np.ones(20)])
     coef = np.linalg.solve(A.T @ A, A.T @ Y)
@@ -166,7 +167,7 @@ def test_ntk_regime_one_step_output_change():
     for s in range(20):
         net = init_network(arch, 300 + s)
         z0 = forward(net, X)
-        gd_epoch(net, X[:4], Y, TrainConfig(eta=eta))
+        gd_epoch(net, X[:4], Y, arch, TrainConfig(eta=eta))
         z1 = forward(net, X)
         actual = (z1 - z0)[4, 0]
         predicted = -(eta / 4.0) * float(kp.Theta[4, :4] @ (z0[:4, 0] - Y[:, 0]))
@@ -251,7 +252,7 @@ def test_zero_epochs_returns_untrained_loss():
     net = init_network(arch, seed=14)
     untrained = mse_loss(net, split["x_test"], split["y_test"])
     cfg = TrainConfig(eta=0.1, max_epochs=0)
-    rec = train_with_early_stopping(init_network(arch, seed=14), split, cfg)
+    rec = train_with_early_stopping(init_network(arch, seed=14), split, arch, cfg)
     assert rec.final_test_loss == untrained
     assert rec.epochs_run == 0
     assert rec.stop_reason == "max_epochs"
@@ -263,7 +264,7 @@ def test_monotone_validation_runs_to_max_epochs():
     cfg = TrainConfig(eta=0.1, max_epochs=25, patience=3)
     scripted = iter(np.linspace(1.0, 0.5, 26))
     rec = train_with_early_stopping(
-        init_network(arch, seed=15), split, cfg, val_loss_fn=lambda n, e: next(scripted)
+        init_network(arch, seed=15), split, arch, cfg, val_loss_fn=lambda n, e: next(scripted)
     )
     assert rec.epochs_run == 25
     assert rec.stop_reason == "max_epochs"
@@ -276,7 +277,7 @@ def test_plateau_stops_after_patience():
     # improves for 10 epochs, then flat forever
     losses = {e: (1.0 - 0.05 * e if e <= 10 else 0.5) for e in range(101)}
     rec = train_with_early_stopping(
-        init_network(arch, seed=16), split, cfg, val_loss_fn=lambda n, e: losses[e]
+        init_network(arch, seed=16), split, arch, cfg, val_loss_fn=lambda n, e: losses[e]
     )
     assert rec.epochs_run == 15
     assert rec.stop_reason == "patience"
@@ -286,12 +287,12 @@ def test_divergence_recorded():
     arch = _small_arch()
     split = _split(np.random.default_rng(17), arch)
     cfg = TrainConfig(eta=1e6, max_epochs=50, patience=50)
-    rec = train_with_early_stopping(init_network(arch, seed=17), split, cfg)
+    rec = train_with_early_stopping(init_network(arch, seed=17), split, arch, cfg)
     assert rec.stop_reason == "divergence"
     assert np.isnan(rec.final_test_loss)
 
 
-def _public_call_training(net, split, cfg, val_loss_fn=None):
+def _public_call_training(net, split, arch, cfg, val_loss_fn=None):
     """The GD early-stopping loop written with public calls only: gd_epoch,
     then mse_loss on the training set for the divergence check, then the
     validation loss."""
@@ -305,7 +306,7 @@ def _public_call_training(net, split, cfg, val_loss_fn=None):
     stop_reason = "max_epochs"
     epoch = 0
     while epoch < cfg.max_epochs:
-        gd_epoch(net, x_tr, y_tr, cfg)
+        gd_epoch(net, x_tr, y_tr, arch, cfg)
         epoch += 1
         train_loss = mse_loss(net, x_tr, y_tr)
         if not np.isfinite(train_loss) or train_loss > 1e6 * max(initial_train, 1e-300):
@@ -332,16 +333,16 @@ def _public_call_training(net, split, cfg, val_loss_fn=None):
 )
 def test_training_loop_matches_public_call_loop(arch, cfg, stop_reason):
     split = _split(np.random.default_rng(20), arch)
-    rec = train_with_early_stopping(init_network(arch, seed=20), split, cfg)
-    want = _public_call_training(init_network(arch, seed=20), split, cfg)
+    rec = train_with_early_stopping(init_network(arch, seed=20), split, arch, cfg)
+    want = _public_call_training(init_network(arch, seed=20), split, arch, cfg)
     assert rec.stop_reason == stop_reason
     # repr round-trips every float, so this is == that also holds for NaN
     assert repr(rec) == repr(want)
 
     losses = {e: 1.0 / (1 + e % 7) for e in range(cfg.max_epochs + 1)}
     scripted = lambda n_, e: losses[e]
-    rec = train_with_early_stopping(init_network(arch, seed=21), split, cfg, scripted)
-    want = _public_call_training(init_network(arch, seed=21), split, cfg, scripted)
+    rec = train_with_early_stopping(init_network(arch, seed=21), split, arch, cfg, scripted)
+    want = _public_call_training(init_network(arch, seed=21), split, arch, cfg, scripted)
     assert repr(rec) == repr(want)
 
 
@@ -358,7 +359,7 @@ def test_training_loop_one_train_pass_per_epoch(monkeypatch):
     split = _split(np.random.default_rng(22), arch)
     epochs = 9
     cfg = TrainConfig(eta=0.1, max_epochs=epochs, patience=epochs + 1)
-    rec = train_with_early_stopping(init_network(arch, seed=22), split, cfg)
+    rec = train_with_early_stopping(init_network(arch, seed=22), split, arch, cfg)
     assert rec.stop_reason == "max_epochs" and rec.epochs_run == epochs
     # initial train and validation passes, one of each per epoch, the test pass
     assert len(calls) == 2 * epochs + 3
@@ -374,7 +375,7 @@ def test_training_steps_reject_unshaped_labels():
     with pytest.raises(ValueError, match="label shape"):
         mse_loss(net, X, Y)
     with pytest.raises(ValueError, match="label shape"):
-        gd_epoch(net, X, Y, TrainConfig(eta=0.1))
+        gd_epoch(net, X, Y, arch, TrainConfig(eta=0.1))
     opt = AdamState.zeros_like(net)
     with pytest.raises(ValueError, match="label shape"):
         adam_epoch(net, X, Y, TrainConfig(eta=0.1, optimizer="adam"), opt, np.random.default_rng(0))
@@ -405,6 +406,21 @@ def test_ensemble_determinism_and_moments():
     assert s1.mu_L == pytest.approx(losses.mean())
     assert s1.var_L == pytest.approx(np.var(losses, ddof=1))
     assert s1.eps_L == pytest.approx(np.sqrt(s1.var_L) / s1.mu_L)
+
+
+def test_ensemble_trains_with_the_architecture_lambdas():
+    # lambda_b and lambda_w have one owner, the architecture that also defines Theta.
+    arch = ArchitectureConfig(depth=2, input_dim=4, hidden_width=32, lambda_b=4.0)
+    split = _split(np.random.default_rng(24), arch)
+    cfg = TrainConfig(eta=0.2, max_epochs=30, patience=31)
+    got = run_ensemble(split, arch, cfg, 3, base_seed=0).records
+    base = run_ensemble(split, replace(arch, lambda_b=1.0), cfg, 3, base_seed=0).records
+    assert [r.final_test_loss for r in got] != [r.final_test_loss for r in base]
+    want = [
+        _public_call_training(init_network(arch, seed), split, arch, replace(cfg, seed=seed))
+        for seed in range(3)
+    ]
+    assert repr(got) == repr(want)
 
 
 def test_ensemble_requires_two_members():

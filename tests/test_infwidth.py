@@ -367,7 +367,7 @@ def _label_consumers(n_out):
 
     def one_gd_epoch(Y):
         net = init_network(arch, seed=80)
-        gd_epoch(net, X[:3], Y, TrainConfig(eta=0.1))
+        gd_epoch(net, X[:3], Y, arch, TrainConfig(eta=0.1))
         return net.weights[0]
 
     return {
