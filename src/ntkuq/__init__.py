@@ -53,12 +53,14 @@ from .scaling import (
 )
 from .datasets import (
     Dataset,
+    dataset_from_spec,
     energy_from_label,
     load_event_vectors,
     load_idx,
     make_synthetic,
     save_event_vectors,
 )
-from .experiment import ExperimentPlan, RunResult, emit_plot_data, load_plan_file, run_plan
+from .experiment import ExperimentPlan, RunResult, emit_plot_data
+from .experiment import load_plan_file, plan_from_file, run_plan
 
 __version__ = "0.1.0"

@@ -11,14 +11,14 @@ from .errors import NtkuqError
 from .kernels import ArchitectureConfig, InputSet, build_kernel_pair, save_kernel_pair
 from .infwidth import bayesian_posterior, closed_form_posterior, save_posterior_jsonl
 from .loss_stats import loss_stats
-from .datasets import Dataset, load_event_vectors, load_idx, make_synthetic
+from .datasets import DATASET_SETTINGS, dataset_from_spec, split_arrays, split_ids
 from .finite_width import TrainConfig, run_ensemble
 from .scaling import fit_power_law
 from .experiment import emit_plot_data, plan_from_file, run_plan
 
 
 def _add_arch_flags(p):
-    # The flags K and Theta depend on; ensemble run adds --width and --n-out.
+    # The flags K and Theta depend on; ensemble run adds --width and the dataset flags.
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--lambda-b", type=float, default=1.0)
     p.add_argument("--lambda-w", type=float, default=1.0)
@@ -27,37 +27,6 @@ def _add_arch_flags(p):
 def _arch_from_args(args, input_dim, **network):
     return ArchitectureConfig(
         args.depth, input_dim, lambda_b=args.lambda_b, lambda_w=args.lambda_w, **network
-    )
-
-
-def _add_dataset_flags(p):
-    p.add_argument("--generator", default="teacher", choices=["teacher", "sinusoid"])
-    p.add_argument("--n-points", type=int, default=512)
-    p.add_argument("--input-dim", type=int, default=8)
-    p.add_argument("--data-seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--idx-images")
-    p.add_argument("--idx-labels")
-    p.add_argument("--events")
-    p.add_argument("--energy-min", type=float, default=10.0)
-    p.add_argument("--energy-max", type=float, default=100.0)
-
-
-def _dataset_from_args(args, n_out):
-    if args.idx_images:
-        return load_idx(args.idx_images, args.idx_labels)
-    if args.events:
-        return load_event_vectors(args.events, args.energy_min, args.energy_max)
-    teacher_arch = ArchitectureConfig(
-        depth=3, input_dim=args.input_dim, hidden_width=32, n_out=n_out
-    )
-    return make_synthetic(
-        args.generator,
-        args.n_points,
-        args.input_dim,
-        args.data_seed,
-        teacher_arch=teacher_arch,
-        noise=args.noise,
     )
 
 
@@ -94,27 +63,14 @@ def _cmd_infwidth_predict(args):
 
 
 def _cmd_ensemble_run(args):
-    dataset = _dataset_from_args(args, 1 if args.n_out is None else args.n_out)
-    if args.n_out not in (None, dataset.n_out):
-        raise ValueError("--n-out %d but the data has %d outputs" % (args.n_out, dataset.n_out))
+    dataset = dataset_from_spec({n: getattr(args, n) for n, *_ in DATASET_SETTINGS if n in args})
     arch = _arch_from_args(
         args, dataset.inputs.input_dim, hidden_width=args.width, n_out=dataset.n_out
     )
-    n = dataset.count
-    n_test, n_val, n_train = args.test_size, args.val_size, args.train_size
-    if n_test + n_val + n_train > n:
-        raise ValueError("splits exceed dataset size")
-    rng = np.random.default_rng(args.seed)
-    perm = rng.permutation(n)
-    te, va, tr = perm[:n_test], perm[n_test : n_test + n_val], perm[n_test + n_val :][:n_train]
-    split = {
-        "x_train": dataset.inputs.points[tr],
-        "y_train": dataset.labels[tr],
-        "x_val": dataset.inputs.points[va],
-        "y_val": dataset.labels[va],
-        "x_test": dataset.inputs.points[te],
-        "y_test": dataset.labels[te],
-    }
+    test_ids, val_ids, pool = split_ids(
+        dataset, args.seed, args.test_size, args.val_size, args.train_size
+    )
+    split = split_arrays(dataset, pool[: args.train_size], val_ids, test_ids)
     cfg = TrainConfig(
         eta=args.eta,
         optimizer=args.optimizer,
@@ -205,10 +161,11 @@ def build_parser():
 
     ens = sub.add_parser("ensemble").add_subparsers(dest="action", required=True)
     p = ens.add_parser("run")
-    _add_dataset_flags(p)
+    # An unset dataset flag stays out of args, so the spec can tell it from a given one.
+    for name, cast, _, _ in DATASET_SETTINGS:
+        p.add_argument("--" + name.replace("_", "-"), type=cast, default=argparse.SUPPRESS)
     _add_arch_flags(p)
     p.add_argument("--width", type=int, default=64)
-    p.add_argument("--n-out", type=int, help="default: the data's label width, or 1 for synthetic")
     p.add_argument("--train-size", type=int, default=64)
     p.add_argument("--val-size", type=int, default=16)
     p.add_argument("--test-size", type=int, default=64)

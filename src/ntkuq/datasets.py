@@ -1,24 +1,48 @@
-"""Dataset loaders (IDX, flat event vectors) and synthetic task generators."""
+"""Dataset loaders (IDX, event vectors), synthetic tasks, the dataset spec and splits."""
 
 from dataclasses import dataclass, field
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 
-from .kernels import InputSet, label_matrix
+from .kernels import ArchitectureConfig, InputSet, label_matrix
 from .finite_width import init_network, forward
 
 __all__ = [
+    "DATASET_SETTINGS",
     "Dataset",
+    "dataset_from_spec",
     "load_idx",
     "load_event_vectors",
     "save_event_vectors",
     "make_synthetic",
     "energy_from_label",
+    "split_ids",
+    "split_arrays",
 ]
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+
+# Every dataset setting: (name, type, default, the source that reads it).
+# input_dim and n_out shape synthetic data and must match file data, so
+# every source reads them. The CLI flags and the plan keys are these names.
+DATASET_SETTINGS = (
+    ("generator", str, "teacher", "synthetic"),
+    ("n_points", int, 512, "synthetic"),
+    ("input_dim", int, 8, None),
+    ("n_out", int, 1, None),
+    ("data_seed", int, 0, "synthetic"),
+    ("noise", float, 0.0, "synthetic"),
+    ("teacher_depth", int, 3, "synthetic"),
+    ("teacher_width", int, 32, "synthetic"),
+    ("idx_images", str, None, "idx"),
+    ("idx_labels", str, None, "idx"),
+    ("events", str, None, "events"),
+    ("energy_min", float, 10.0, "events"),
+    ("energy_max", float, 100.0, "events"),
+)
 
 
 @dataclass(frozen=True)
@@ -38,6 +62,13 @@ class Dataset:
     @property
     def n_out(self):
         return self.labels.shape[1]
+
+    def check_shape(self, **claimed):
+        """ValueError, naming both values, unless each claimed input_dim or n_out is the data's."""
+        for name, value in claimed.items():
+            actual = {"input_dim": self.inputs.input_dim, "n_out": self.n_out}[name]
+            if value != actual:
+                raise ValueError("%s %d given but the data has %d" % (name, value, actual))
 
 
 def _read_be32(f):
@@ -146,17 +177,56 @@ def make_synthetic(generator, n_points, input_dim, seed, teacher_arch=None, nois
         X = rng.standard_normal((n_points, input_dim))
         teacher = init_network(teacher_arch, seed + 1)
         Y = forward(teacher, X)
-        if noise > 0:
-            Y = Y + noise * rng.standard_normal(Y.shape)
-        return Dataset(
-            inputs=InputSet(X), labels=Y, name="teacher", normalization={"seed": seed}
-        )
-    if generator == "sinusoid":
+    elif generator == "sinusoid":
         X = rng.uniform(-1.0, 1.0, size=(n_points, input_dim))
         Y = np.prod(np.sin(np.pi * X), axis=1)[:, None]
-        if noise > 0:
-            Y = Y + noise * rng.standard_normal(Y.shape)
-        return Dataset(
-            inputs=InputSet(X), labels=Y, name="sinusoid", normalization={"seed": seed}
-        )
-    raise ValueError("unknown synthetic generator %r" % generator)
+    else:
+        raise ValueError("unknown synthetic generator %r" % generator)
+    if noise > 0:
+        Y = Y + noise * rng.standard_normal(Y.shape)
+    return Dataset(inputs=InputSet(X), labels=Y, name=generator, normalization={"seed": seed})
+
+
+def dataset_from_spec(given, **defaults):
+    """The Dataset that `given`, the DATASET_SETTINGS a user set, describes.
+
+    Unset settings read `defaults`, then their own default. The source is the IDX pair, the
+    events file, or else synthetic data. A setting the source does not read, or an input_dim
+    or n_out unlike the data's, raises ValueError.
+    """
+    v = SimpleNamespace(**{
+        name: cast(given[name]) if name in given else defaults.get(name, default)
+        for name, cast, default, _ in DATASET_SETTINGS
+    })
+    if ("idx_images" in given) != ("idx_labels" in given):
+        raise ValueError("idx_images and idx_labels must be given together")
+    source = "idx" if "idx_images" in given else "events" if "events" in given else "synthetic"
+    unread = [n for n, *_, src in DATASET_SETTINGS if n in given and src not in (None, source)]
+    if unread:
+        raise ValueError("%s data does not read %s" % (source, ", ".join(unread)))
+    if source == "idx":
+        dataset = load_idx(v.idx_images, v.idx_labels)
+    elif source == "events":
+        dataset = load_event_vectors(v.events, v.energy_min, v.energy_max)
+    else:
+        arch = ArchitectureConfig(v.teacher_depth, v.input_dim, v.teacher_width, v.n_out)
+        dataset = make_synthetic(v.generator, v.n_points, v.input_dim, v.data_seed, arch, v.noise)
+    dataset.check_shape(**{n: getattr(v, n) for n in ("input_dim", "n_out") if n in given})
+    return dataset
+
+
+def split_ids(dataset, seed, n_test, n_val, n_train):
+    """(test, validation, pool) rows of one seeded permutation; the pool holds >= n_train."""
+    needed = n_test + n_val + n_train
+    if needed > dataset.count:
+        raise ValueError("split needs %d points but dataset has %d" % (needed, dataset.count))
+    perm = np.random.default_rng(seed).permutation(dataset.count)
+    return perm[:n_test], perm[n_test : n_test + n_val], perm[n_test + n_val :]
+
+
+def split_arrays(dataset, train_ids, val_ids, test_ids):
+    """The x_/y_ train, val and test arrays that run_ensemble takes."""
+    split = {}
+    for part, ids in (("train", train_ids), ("val", val_ids), ("test", test_ids)):
+        split["x_" + part], split["y_" + part] = dataset.inputs.points[ids], dataset.labels[ids]
+    return split

@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from .errors import IllConditionedError, NtkuqError
-from .datasets import make_synthetic
+from .datasets import DATASET_SETTINGS, dataset_from_spec, split_arrays, split_ids
 from .kernels import ArchitectureConfig, InputSet, build_kernel_pair
 from .infwidth import (
     EarlyStopPolicy,
@@ -134,21 +134,6 @@ def _fmt(value):
     return value
 
 
-def _splits(plan, dataset):
-    """Fixed test/validation split plus nested train subsets per size."""
-    rng = np.random.default_rng(plan.master_seed)
-    perm = rng.permutation(dataset.count)
-    needed = plan.test_size + plan.val_size + max(plan.sizes)
-    if needed > dataset.count:
-        raise ValueError(
-            "plan needs %d points but dataset has %d" % (needed, dataset.count)
-        )
-    test_ids = perm[: plan.test_size]
-    val_ids = perm[plan.test_size : plan.test_size + plan.val_size]
-    pool = perm[plan.test_size + plan.val_size :]
-    return test_ids, val_ids, pool
-
-
 def _infinite_cell(kp, labels, train_ids, val_ids, test_ids, bayesian):
     """Posterior over test_ids for one (size, lambda_b) cell of a shared kernel.
 
@@ -211,8 +196,11 @@ def _fits(infwidth_rows, summary_rows):
 
 def run_plan(plan, dataset):
     """Execute every (size, lambda_b) cell of a plan and persist results."""
+    dataset.check_shape(input_dim=plan.arch.input_dim, n_out=plan.arch.n_out)
     cfg_hash = _config_hash(plan, dataset)
-    test_ids, val_ids, pool = _splits(plan, dataset)
+    test_ids, val_ids, pool = split_ids(
+        dataset, plan.master_seed, plan.test_size, plan.val_size, max(plan.sizes)
+    )
     # The store is made only once the plan has been checked against the data.
     os.makedirs(plan.output_dir, exist_ok=True)
     lambdas = plan.lambda_b_sweep or [float(plan.arch.lambda_b)]
@@ -249,7 +237,6 @@ def run_plan(plan, dataset):
         if plan.infinite_width or (plan.bayesian and lam_index == 0):
             kp = build_kernel_pair(kernel_inputs, arch)
         for n_d in plan.sizes:
-            train_rows = pool[:n_d]
             cell = {"N_D": n_d, "lambda_b": lam_b}
             for name, is_bayes in series:
                 try:
@@ -285,14 +272,7 @@ def run_plan(plan, dataset):
 
             if plan.ensemble_size >= 2:
                 cfg = replace(plan.train_cfg, eta=plan.train_cfg.eta / max(lam_b, 1.0))
-                split = {
-                    "x_train": dataset.inputs.points[train_rows],
-                    "y_train": dataset.labels[train_rows],
-                    "x_val": dataset.inputs.points[val_ids],
-                    "y_val": dataset.labels[val_ids],
-                    "x_test": dataset.inputs.points[test_ids],
-                    "y_test": dataset.labels[test_ids],
-                }
+                split = split_arrays(dataset, pool[:n_d], val_ids, test_ids)
                 base_seed = plan.master_seed + 10_000 * (
                     plan.sizes.index(n_d) + len(plan.sizes) * lam_index
                 )
@@ -430,9 +410,11 @@ def load_plan_file(path):
 
 
 def plan_from_file(path, output_dir=None):
-    """(ExperimentPlan, synthetic Dataset) from a key = value plan file.
+    """(ExperimentPlan, Dataset) from a key = value plan file.
 
-    output_dir, when given, overrides the file's. Every key is read, and
+    output_dir, when given, overrides the file's. The DATASET_SETTINGS keys
+    build the dataset (n_points defaults to what the plan needs), and the
+    architecture takes input_dim and n_out from it. Every key is read and
     removed as it is read, so a key left over is unknown: ValueError.
     """
     raw = load_plan_file(path)
@@ -446,17 +428,17 @@ def plan_from_file(path, output_dir=None):
             raise ValueError("plan key %s must be true or false, not %r" % (key, value))
         return value.lower() == "true"
 
+    if "sizes" not in raw:
+        raise ValueError("the plan file sets no sizes")
     sizes = [int(s) for s in raw.pop("sizes").split(",")]
     file_dir = raw.pop("output_dir", None)
     output_dir = output_dir or file_dir
     if not output_dir:
         raise ValueError("the plan file sets no output_dir and none was given")
-    input_dim = get("input_dim", int, 8)
-    arch = ArchitectureConfig(
+    data_keys = {name: raw.pop(name) for name, *_ in DATASET_SETTINGS if name in raw}
+    network = dict(
         depth=get("depth", int, 3),
-        input_dim=input_dim,
         hidden_width=get("width", int, 64),
-        n_out=get("n_out", int, 1),
         lambda_b=get("lambda_b", float, 1.0),
         lambda_w=get("lambda_w", float, 1.0),
     )
@@ -467,10 +449,7 @@ def plan_from_file(path, output_dir=None):
         max_epochs=get("max_epochs", int, 2000),
     )
     ensemble_size = get("ensemble_size", int, 0)
-    plan = ExperimentPlan(
-        sizes=sizes,
-        arch=arch,
-        output_dir=output_dir,
+    settings = dict(
         master_seed=get("master_seed", int, 0),
         test_size=get("test_size", int, 64),
         val_size=get("val_size", int, 16),
@@ -480,19 +459,9 @@ def plan_from_file(path, output_dir=None):
         bayesian=flag("bayesian", "false"),
         lambda_b_sweep=[float(v) for v in get("lambda_b_sweep", str, "").split(",") if v],
     )
-    n_points = get("n_points", int, plan.test_size + plan.val_size + max(sizes))
-    teacher_arch = ArchitectureConfig(
-        depth=get("teacher_depth", int, 3),
-        input_dim=input_dim,
-        hidden_width=get("teacher_width", int, 32),
-        n_out=arch.n_out,
-    )
-    generator = get("generator", str, "teacher")
-    data_seed = get("data_seed", int, 0)
-    noise = get("noise", float, 0.0)
     if raw:
         raise ValueError("unknown plan keys: %s" % ", ".join(sorted(raw)))
-    dataset = make_synthetic(
-        generator, n_points, input_dim, data_seed, teacher_arch=teacher_arch, noise=noise
-    )
-    return plan, dataset
+    n_points = settings["test_size"] + settings["val_size"] + max(sizes)
+    dataset = dataset_from_spec(data_keys, n_points=n_points)
+    arch = ArchitectureConfig(input_dim=dataset.inputs.input_dim, n_out=dataset.n_out, **network)
+    return ExperimentPlan(sizes=sizes, arch=arch, output_dir=output_dir, **settings), dataset

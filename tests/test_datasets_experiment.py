@@ -1,6 +1,8 @@
 import csv
 from dataclasses import replace
+import inspect
 import json
+import re
 import struct
 import warnings
 
@@ -18,10 +20,12 @@ from ntkuq import (
     load_idx,
     load_plan_file,
     make_synthetic,
+    plan_from_file,
     run_plan,
     save_event_vectors,
 )
 from ntkuq.cli import main as cli_main
+from ntkuq.datasets import DATASET_SETTINGS
 from ntkuq.errors import IllConditionedError
 from ntkuq.infwidth import (
     EarlyStopPolicy,
@@ -183,8 +187,30 @@ def test_run_plan_rows_and_files(tmp_path):
 def test_run_plan_too_big_makes_no_store(tmp_path):
     # The plan needs 8 test + 4 validation + 16 training points.
     plan = _small_plan(tmp_path)
-    with pytest.raises(ValueError, match="plan needs 28 points but dataset has 10"):
+    with pytest.raises(ValueError, match="split needs 28 points but dataset has 10"):
         run_plan(plan, _small_dataset(n=10))
+    assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize(
+    "network, ensemble_size, message",
+    [
+        (dict(input_dim=3), 2, "input_dim 3 given but the data has 4"),
+        (dict(input_dim=4, n_out=5), 0, "n_out 5 given but the data has 1"),
+    ],
+    ids=["input_dim", "n_out"],
+)
+def test_run_plan_checks_arch_against_data(tmp_path, network, ensemble_size, message):
+    from ntkuq.finite_width import TrainConfig
+
+    plan = _small_plan(
+        tmp_path,
+        arch=ArchitectureConfig(depth=2, **network),
+        ensemble_size=ensemble_size,
+        train_cfg=TrainConfig(eta=0.5, max_epochs=5),
+    )
+    with pytest.raises(ValueError, match=message):
+        run_plan(plan, _small_dataset(d=4))
     assert not (tmp_path / "store").exists()
 
 
@@ -276,7 +302,7 @@ def test_run_plan_bayesian_series(tmp_path):
 
 def test_run_plan_nested_subsets():
     # training subsets must be nested and the test split identical per size
-    from ntkuq.experiment import _splits
+    from ntkuq.datasets import split_ids
 
     ds = _small_dataset()
     plan = ExperimentPlan(
@@ -287,7 +313,9 @@ def test_run_plan_nested_subsets():
         test_size=8,
         val_size=4,
     )
-    test_ids, val_ids, pool = _splits(plan, ds)
+    test_ids, val_ids, pool = split_ids(
+        ds, plan.master_seed, plan.test_size, plan.val_size, max(plan.sizes)
+    )
     assert test_ids.size == 8 and val_ids.size == 4
     np.testing.assert_array_equal(pool[:4], pool[:8][:4])
     all_ids = np.concatenate([test_ids, val_ids, pool])
@@ -365,9 +393,11 @@ def _per_cell_kernel_rows(plan, ds):
     """Every analytic cell the long way: stack its own [train, val, test]
     points, build their kernel and run the closed-form, Bayesian or GD-map
     route with the sweep's fallback policy."""
-    from ntkuq.experiment import _splits
+    from ntkuq.datasets import split_ids
 
-    test_ids, val_ids, pool = _splits(plan, ds)
+    test_ids, val_ids, pool = split_ids(
+        ds, plan.master_seed, plan.test_size, plan.val_size, max(plan.sizes)
+    )
     n_val, n_te = val_ids.size, test_ids.size
     rows, skipped = [], []
     for lam_b in plan.lambda_b_sweep or [plan.arch.lambda_b]:
@@ -428,7 +458,7 @@ def _per_cell_kernel_rows(plan, ds):
     ],
 )
 def test_run_plan_rows_match_per_cell_kernels(tmp_path, sizes, val_size, exact):
-    from ntkuq.experiment import _splits
+    from ntkuq.datasets import split_ids
 
     plan = _small_plan(
         tmp_path, sizes=sizes, val_size=val_size, lambda_b_sweep=[0.5, 2.0], bayesian=True
@@ -437,7 +467,7 @@ def test_run_plan_rows_match_per_cell_kernels(tmp_path, sizes, val_size, exact):
     # Repeat a training point that only the largest cell uses: its train
     # block is then singular, so the closed form falls back to the GD map
     # and the Bayesian cell is skipped, while the smaller cells solve.
-    _, _, pool = _splits(plan, ds)
+    _, _, pool = split_ids(ds, plan.master_seed, plan.test_size, plan.val_size, max(sizes))
     X, Y = ds.inputs.points.copy(), ds.labels.copy()
     X[pool[sizes[1] + 2]], Y[pool[sizes[1] + 2]] = X[pool[1]], Y[pool[1]]
     ds = Dataset(inputs=InputSet(X), labels=Y)
@@ -712,7 +742,28 @@ def test_cli_ensemble_run_takes_n_out_from_idx_data(tmp_path, capsys):
     capsys.readouterr()
     assert _cli_idx_ensemble(tmp_path, "--n-out", "3") == 1
     message = json.loads(capsys.readouterr().err)["message"]
-    assert "--n-out 3" in message and "10 outputs" in message
+    assert message == "n_out 3 given but the data has 10"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--idx-images", "img.idx"], "idx_images and idx_labels must be given together"),
+        (["--idx-labels", "lab.idx"], "idx_images and idx_labels must be given together"),
+        (
+            ["--idx-images", "img.idx", "--idx-labels", "lab.idx", "--events", "nope.bin"],
+            "idx data does not read events",
+        ),
+    ],
+    ids=["images_alone", "labels_alone", "events_beside_idx"],
+)
+def test_cli_ensemble_run_takes_one_data_source(tmp_path, capsys, monkeypatch, flags, message):
+    images = np.random.default_rng(5).integers(0, 256, size=(60, 2, 2), dtype=np.uint8)
+    _write_idx(tmp_path, images, np.arange(60) % 10)
+    monkeypatch.chdir(tmp_path)  # file paths are read relative to the working directory
+    args = ["ensemble", "run", "--depth", "2", "--width", "8", "--members", "2"]
+    assert cli_main(args + ["--max-epochs", "5"] + flags) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize("flag", ["--width", "--n-out"])
@@ -796,6 +847,11 @@ def test_cli_sweep_rejects_unknown_keys_and_flags(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert all(word in err["message"] for word in named), err
+    # a plan file without sizes names the missing key
+    plan.write_text(base.replace("sizes = 4,8,16\n", ""))
+    assert cli_main(["sweep", "run", "--plan", str(plan), "--out", str(store)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "the plan file sets no sizes"}
     assert not store.exists()
     # with neither --out nor an output_dir key there is nowhere to write
     plan.write_text(base)
@@ -823,6 +879,108 @@ def test_cli_sweep_rejects_repeated_plan_key(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and "sizes" in err["message"], err
     assert not store.exists()
+
+
+def _sweep_idx_plan(tmp_path, monkeypatch, extra=""):
+    images = np.random.default_rng(5).integers(0, 256, size=(60, 2, 2), dtype=np.uint8)
+    _write_idx(tmp_path, images, np.arange(60) % 10)
+    monkeypatch.chdir(tmp_path)
+    plan = tmp_path / "plan.txt"
+    plan.write_text(
+        "idx_images = img.idx\nidx_labels = lab.idx\nsizes = 8,16,24\ndepth = 2\n"
+        "test_size = 16\nval_size = 8\noutput_dir = store\n" + extra
+    )
+    return cli_main(["sweep", "run", "--plan", "plan.txt"])
+
+
+def test_cli_sweep_run_on_idx_files(tmp_path, capsys, monkeypatch):
+    extra = "bayesian = true\nensemble_size = 2\nwidth = 8\neta = 0.5\nmax_epochs = 20\n"
+    assert _sweep_idx_plan(tmp_path, monkeypatch, extra) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert (rec["rows"], rec["ensemble_rows"], len(rec["fits"])) == (6, 3, 9)
+    plan, ds = plan_from_file("plan.txt")
+    assert (plan.arch.input_dim, plan.arch.n_out) == (4, 10) == (ds.inputs.input_dim, ds.n_out)
+    np.testing.assert_array_equal(ds.labels, load_idx("img.idx", "lab.idx").labels)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("input_dim = 16", "input_dim 16 given but the data has 4"),
+        ("n_out = 3", "n_out 3 given but the data has 10"),
+        ("noise = 0.1", "idx data does not read noise"),
+    ],
+    ids=["input_dim", "n_out", "noise"],
+)
+def test_cli_sweep_rejects_settings_idx_data_contradicts(
+    tmp_path, capsys, monkeypatch, line, message
+):
+    assert _sweep_idx_plan(tmp_path, monkeypatch, line + "\n") == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "store").exists()
+
+
+def test_cli_sweep_run_on_event_file(tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    events = tmp_path / "events.bin"
+    save_event_vectors(events, rng.standard_normal((40, 3)), rng.uniform(20.0, 80.0, 40))
+    body = "sizes = 4,8,16\ndepth = 2\ntest_size = 8\nval_size = 4\nmaster_seed = 3\n"
+    hashes = []
+    for name, data in (("events", "events = %s\n" % events), ("synthetic", "input_dim = 3\n")):
+        plan = tmp_path / ("%s.txt" % name)
+        plan.write_text(body + data + "output_dir = %s\n" % (tmp_path / name))
+        assert cli_main(["sweep", "run", "--plan", str(plan)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["rows"] == 3 and rec["skipped"] == 0
+        with open(tmp_path / name / "infwidth.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [int(r["N_D"]) for r in rows] == [4, 8, 16]
+        assert {r["config_hash"] for r in rows} == {rec["config_hash"]}
+        assert all(float(r["mu_L"]) > 0 for r in rows)
+        hashes.append(rec["config_hash"])
+    assert hashes[0] != hashes[1]
+
+
+def test_synthetic_plan_file_matches_python_plan(tmp_path):
+    # perfbench builds its plans in Python, next to a make_synthetic call.
+    path = tmp_path / "plan.txt"
+    path.write_text(
+        "sizes = 4,8,16\ndepth = 2\ninput_dim = 3\ntest_size = 8\nval_size = 4\n"
+        "master_seed = 3\nn_points = 40\ndata_seed = 2\nteacher_depth = 2\n"
+        "teacher_width = 16\nbayesian = true\noutput_dir = %s\n" % (tmp_path / "file")
+    )
+    from_file = run_plan(*plan_from_file(path))
+    direct = run_plan(_small_plan(tmp_path, bayesian=True), _small_dataset())
+    assert from_file.infwidth_rows == direct.infwidth_rows
+    assert from_file.config_hash == direct.config_hash
+
+
+def test_dataset_settings_are_one_list(tmp_path, capsys):
+    names = {name for name, *_ in DATASET_SETTINGS}
+    assert len(names) == 13
+    # The flags and plan keys that set the network, the training or the sweep.
+    shared = {"depth", "width", "lambda_b", "lambda_w", "eta", "optimizer", "patience"}
+    shared |= {"max_epochs", "test_size", "val_size"}
+    ensemble_only = {"train_size", "members", "seed", "minibatch"}
+    plan_only = {"sizes", "output_dir", "master_seed", "ensemble_size", "infinite_width"}
+    plan_only |= {"bayesian", "lambda_b_sweep"}
+    with pytest.raises(SystemExit):
+        cli_main(["ensemble", "run", "--help"])
+    flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out)) - {"help"}
+    assert {f.replace("-", "_") for f in flags} == names | shared | ensemble_only
+    # plan_from_file names only its own keys; the dataset keys are the list's
+    source = inspect.getsource(plan_from_file)
+    assert set(re.findall(r'(?:get|flag|pop)\("(\w+)"', source)) == shared | plan_only
+    base = "sizes = 8\ntest_size = 4\nval_size = 4\noutput_dir = x\n"
+    for name in names | {"not_a_key"}:
+        path = tmp_path / "plan.txt"
+        path.write_text(base + "%s = 1\n" % name)
+        try:
+            plan_from_file(path)
+            error = ""
+        except (ValueError, OSError) as exc:
+            error = str(exc)
+        assert ("unknown plan keys" in error) == (name == "not_a_key"), (name, error)
 
 
 def test_cli_errors_as_json(tmp_path, capsys):
