@@ -116,6 +116,13 @@ def _cmd_fit(args):
 
     with open(args.input, newline="") as f:
         reader = _csv.DictReader(f)
+        columns = reader.fieldnames or []
+        missing = [c for c in (args.x_col, args.y_col) if c not in columns]
+        if missing:
+            raise ValueError(
+                "%s has no column %s; its columns are %s"
+                % (args.input, ", ".join(missing), ", ".join(columns))
+            )
         pts = [(float(r[args.x_col]), float(r[args.y_col])) for r in reader]
     fit = fit_power_law(pts)
     print(

@@ -13,6 +13,7 @@ __all__ = [
     "DATASET_SETTINGS",
     "Dataset",
     "dataset_from_spec",
+    "read_setting",
     "load_idx",
     "load_event_vectors",
     "save_event_vectors",
@@ -27,7 +28,8 @@ IDX_LABEL_MAGIC = 0x00000801
 
 # Every dataset setting: (name, type, default, the source that reads it).
 # input_dim and n_out shape synthetic data and must match file data, so
-# every source reads them. The CLI flags and the plan keys are these names.
+# every source reads them; synthetic data also reads its generator's own.
+# The CLI flags and the plan keys are these names.
 DATASET_SETTINGS = (
     ("generator", str, "teacher", "synthetic"),
     ("n_points", int, 512, "synthetic"),
@@ -35,8 +37,8 @@ DATASET_SETTINGS = (
     ("n_out", int, 1, None),
     ("data_seed", int, 0, "synthetic"),
     ("noise", float, 0.0, "synthetic"),
-    ("teacher_depth", int, 3, "synthetic"),
-    ("teacher_width", int, 32, "synthetic"),
+    ("teacher_depth", int, 3, "teacher"),
+    ("teacher_width", int, 32, "teacher"),
     ("idx_images", str, None, "idx"),
     ("idx_labels", str, None, "idx"),
     ("events", str, None, "events"),
@@ -187,23 +189,38 @@ def make_synthetic(generator, n_points, input_dim, seed, teacher_arch=None, nois
     return Dataset(inputs=InputSet(X), labels=Y, name=generator, normalization={"seed": seed})
 
 
+def read_setting(key, cast, text):
+    """cast(text), or a ValueError that names the setting key."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ValueError("%s: %r is not a valid %s" % (key, text, cast.__name__)) from None
+
+
 def dataset_from_spec(given, **defaults):
     """The Dataset that `given`, the DATASET_SETTINGS a user set, describes.
 
     Unset settings read `defaults`, then their own default. The source is the IDX pair, the
-    events file, or else synthetic data. A setting the source does not read, or an input_dim
-    or n_out unlike the data's, raises ValueError.
+    events file, or else synthetic data, which also reads its generator's settings. A value
+    that does not cast, a setting the source does not read, or an input_dim or n_out unlike
+    the data's, raises ValueError.
     """
     v = SimpleNamespace(**{
-        name: cast(given[name]) if name in given else defaults.get(name, default)
+        name: read_setting(name, cast, given[name]) if name in given
+        else defaults.get(name, default)
         for name, cast, default, _ in DATASET_SETTINGS
     })
     if ("idx_images" in given) != ("idx_labels" in given):
         raise ValueError("idx_images and idx_labels must be given together")
     source = "idx" if "idx_images" in given else "events" if "events" in given else "synthetic"
-    unread = [n for n, *_, src in DATASET_SETTINGS if n in given and src not in (None, source)]
+    if source == "synthetic" and v.generator not in ("teacher", "sinusoid"):
+        raise ValueError("unknown synthetic generator %r" % v.generator)
+    reader = v.generator if source == "synthetic" else source
+    unread = [
+        n for n, *_, src in DATASET_SETTINGS if n in given and src not in (None, source, reader)
+    ]
     if unread:
-        raise ValueError("%s data does not read %s" % (source, ", ".join(unread)))
+        raise ValueError("%s data does not read %s" % (reader, ", ".join(unread)))
     if source == "idx":
         dataset = load_idx(v.idx_images, v.idx_labels)
     elif source == "events":

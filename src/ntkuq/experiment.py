@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from .errors import IllConditionedError, NtkuqError
-from .datasets import DATASET_SETTINGS, dataset_from_spec, split_arrays, split_ids
+from .datasets import DATASET_SETTINGS, dataset_from_spec, read_setting, split_arrays, split_ids
 from .kernels import ArchitectureConfig, InputSet, build_kernel_pair
 from .infwidth import (
     EarlyStopPolicy,
@@ -34,7 +34,7 @@ from .infwidth import (
     gd_evolve,
 )
 from .loss_stats import loss_stats
-from .finite_width import TrainConfig, _jackknife_se, _sample_eps, run_ensemble
+from .finite_width import TrainConfig, run_ensemble
 from .scaling import epsilon_flatness_check, fit_power_law
 
 __all__ = [
@@ -56,7 +56,8 @@ INFWIDTH_COLUMNS = [
     "master_seed",
 ]
 SUMMARY_COLUMNS = [
-    "N_D", "lambda_b", "width", "optimizer", "mu_L", "var_L", "eps_L", "n_ok", "n_diverged"
+    "N_D", "lambda_b", "width", "optimizer", "mu_L", "var_L", "eps_L", "mu_L_se", "sigma_L_se",
+    "eps_L_se", "n_ok", "n_diverged",
 ]
 FIT_COLUMNS = ["quantity", "n_points", "exponent", "slope_sigma", "intercept", "r_squared"]
 
@@ -174,23 +175,36 @@ def _cell_scalars(kp, labels, n_d, val_ids, test_ids, bayesian):
     return loss_stats(post, labels[test_ids]), post.method, post.steps_used
 
 
-def _fits(infwidth_rows, summary_rows):
-    """Power-law fits of mu_L, sigma_L and eps_L over N_D, read from the rows.
+def _cell_groups(infwidth_rows, summary_rows):
+    """{label: cells} of the rows, as dicts with sigma_L, under the cell key (series, lambda_b).
 
-    The ensemble summaries are the finite series. A quantity is fitted when
-    it has at least three finite, positive points at distinct sizes.
+    The ensemble summaries are the finite series. A label is the series,
+    plus ":lambda_b=<value>" when the rows hold more than one lambda_b.
     """
     cells = [dict(zip(INFWIDTH_COLUMNS, row)) for row in infwidth_rows]
     cells += [dict(zip(SUMMARY_COLUMNS, row), series="finite") for row in summary_rows]
+    swept = len({cell["lambda_b"] for cell in cells}) > 1
+    groups = {}
     for cell in cells:
         cell["sigma_L"] = np.sqrt(float(cell["var_L"]))
+        label = cell["series"] + (":lambda_b=" + cell["lambda_b"] if swept else "")
+        groups.setdefault(label, []).append(cell)
+    return groups
+
+
+def _fits(infwidth_rows, summary_rows):
+    """Power-law fits of mu_L, sigma_L and eps_L over N_D, one per cell group.
+
+    A quantity is fitted when it has at least three finite, positive points
+    at distinct sizes.
+    """
     fits = {}
-    for name in dict.fromkeys(cell["series"] for cell in cells):
+    for label, cells in _cell_groups(infwidth_rows, summary_rows).items():
         for quantity in ("mu_L", "sigma_L", "eps_L"):
-            pts = [(c["N_D"], float(c[quantity])) for c in cells if c["series"] == name]
+            pts = [(c["N_D"], float(c[quantity])) for c in cells]
             pts = [(n, v) for n, v in pts if np.isfinite(v) and v > 0]
             if len(pts) >= 3 and len({n for n, _ in pts}) == len(pts):
-                fits["%s:%s" % (name, quantity)] = fit_power_law(pts)
+                fits["%s:%s" % (label, quantity)] = fit_power_law(pts)
     return fits
 
 
@@ -286,6 +300,9 @@ def run_plan(plan, dataset):
                         _fmt(summary.mu_L),
                         _fmt(summary.var_L),
                         _fmt(summary.eps_L),
+                        _fmt(summary.mu_se),
+                        _fmt(summary.sigma_se),
+                        _fmt(summary.eps_se),
                         summary.n_ok,
                         summary.n_diverged,
                     ]
@@ -337,48 +354,32 @@ def run_plan(plan, dataset):
 def emit_plot_data(store_dir, quantity, out_path=None):
     """Tidy (x, y, y_err, series) rows for one quantity from a result store.
 
-    Infinite-width and Bayesian rows come from the analytic CSV with zero
-    error bars; finite-width values and errors are recomputed from the
-    per-member records (jackknife for the variance-derived statistics).
+    The rows are those of infwidth.csv, with zero error bars, and of
+    ensemble_summary.csv, with its standard errors; a summary of fewer than
+    two members is left out. series is the cell group's label, as in
+    fits.csv. A file whose header is not this version's raises ValueError.
     """
     if quantity not in ("mu_L", "sigma_L", "eps_L"):
         raise ValueError("unknown quantity %r" % quantity)
+    tables = []
+    for name, columns in (
+        ("infwidth.csv", INFWIDTH_COLUMNS), ("ensemble_summary.csv", SUMMARY_COLUMNS)
+    ):
+        path = os.path.join(store_dir, name)
+        table = []
+        if os.path.exists(path):
+            with open(path, newline="") as f:
+                table = list(csv.reader(f))
+            if table[:1] != [columns]:
+                raise ValueError("%s does not have the columns %s" % (path, ", ".join(columns)))
+        tables.append(table[1:])
     rows = []
-
-    inf_path = os.path.join(store_dir, "infwidth.csv")
-    if os.path.exists(inf_path):
-        with open(inf_path, newline="") as f:
-            for rec in csv.DictReader(f):
-                if quantity == "sigma_L":
-                    y = float(np.sqrt(float(rec["var_L"])))
-                else:
-                    y = float(rec[quantity])
-                rows.append((float(rec["N_D"]), y, 0.0, rec["series"]))
-
-    ens_path = os.path.join(store_dir, "ensemble.jsonl")
-    if os.path.exists(ens_path):
-        groups = {}
-        with open(ens_path) as f:
-            for line in f:
-                rec = json.loads(line)
-                if rec["stop_reason"] == "divergence":
-                    continue
-                groups.setdefault(rec["N_D"], []).append(rec["final_test_loss"])
-        for n_d, losses in sorted(groups.items()):
-            arr = np.asarray(losses)
-            if arr.size < 2:
-                continue
-            if quantity == "mu_L":
-                y = float(arr.mean())
-                y_err = float(arr.std(ddof=1) / np.sqrt(arr.size))
-            elif quantity == "sigma_L":
-                y = float(arr.std(ddof=1))
-                y_err = _jackknife_se(arr, lambda a: a.std(ddof=1))
-            else:
-                y = _sample_eps(arr)
-                y_err = _jackknife_se(arr, _sample_eps)
-            rows.append((float(n_d), y, y_err, "finite"))
-
+    for label, cells in _cell_groups(*tables).items():
+        for c in cells:
+            finite = c["series"] == "finite"
+            if not finite or int(c["n_ok"]) >= 2:
+                y_err = float(c[quantity + "_se"]) if finite else 0.0
+                rows.append((float(c["N_D"]), float(c[quantity]), y_err, label))
     if not rows:
         raise ValueError("no rows found for quantity %r in %s" % (quantity, store_dir))
     rows.sort(key=lambda r: (r[3], r[0]))
@@ -415,12 +416,14 @@ def plan_from_file(path, output_dir=None):
     output_dir, when given, overrides the file's. The DATASET_SETTINGS keys
     build the dataset (n_points defaults to what the plan needs), and the
     architecture takes input_dim and n_out from it. Every key is read and
-    removed as it is read, so a key left over is unknown: ValueError.
+    removed as it is read, so a key left over is unknown: ValueError. So
+    are a value that does not cast, naming its key, and lambda_b given next
+    to lambda_b_sweep.
     """
     raw = load_plan_file(path)
 
     def get(key, cast, default):
-        return cast(raw.pop(key)) if key in raw else default
+        return read_setting(key, cast, raw.pop(key)) if key in raw else default
 
     def flag(key, default):
         value = raw.pop(key, default)
@@ -430,12 +433,14 @@ def plan_from_file(path, output_dir=None):
 
     if "sizes" not in raw:
         raise ValueError("the plan file sets no sizes")
-    sizes = [int(s) for s in raw.pop("sizes").split(",")]
+    sizes = [read_setting("sizes", int, s) for s in raw.pop("sizes").split(",")]
     file_dir = raw.pop("output_dir", None)
     output_dir = output_dir or file_dir
     if not output_dir:
         raise ValueError("the plan file sets no output_dir and none was given")
     data_keys = {name: raw.pop(name) for name, *_ in DATASET_SETTINGS if name in raw}
+    if "lambda_b" in raw and "lambda_b_sweep" in raw:
+        raise ValueError("plan keys lambda_b and lambda_b_sweep exclude each other")
     network = dict(
         depth=get("depth", int, 3),
         hidden_width=get("width", int, 64),
@@ -457,7 +462,11 @@ def plan_from_file(path, output_dir=None):
         train_cfg=train_cfg if ensemble_size >= 2 else None,
         infinite_width=flag("infinite_width", "true"),
         bayesian=flag("bayesian", "false"),
-        lambda_b_sweep=[float(v) for v in get("lambda_b_sweep", str, "").split(",") if v],
+        lambda_b_sweep=[
+            read_setting("lambda_b_sweep", float, v)
+            for v in get("lambda_b_sweep", str, "").split(",")
+            if v
+        ],
     )
     if raw:
         raise ValueError("unknown plan keys: %s" % ", ".join(sorted(raw)))

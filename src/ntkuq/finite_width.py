@@ -109,6 +109,8 @@ class EnsembleSummary:
     var_L: float
     eps_L: float
     eps_se: float
+    mu_se: float
+    sigma_se: float
     n_ok: int
     n_diverged: int
 
@@ -322,8 +324,8 @@ def _sample_eps(losses):
 def run_ensemble(split, arch, cfg, n_members, base_seed):
     """Train n_members networks differing only in their init seed.
 
-    Returns per-member records plus the sample mean/variance of the final
-    test losses, the coefficient of variation and its jackknife SE.
+    Returns per-member records, the sample mean/variance of the final test
+    losses and eps, the SE of the mean and the jackknife SEs of std and eps.
     Diverged members are kept in the records but excluded from moments.
     """
     if n_members < 2:
@@ -343,14 +345,18 @@ def run_ensemble(split, arch, cfg, n_members, base_seed):
         var = float(np.var(ok, ddof=1))
         eps = _eps(mu, var)
         eps_se = _jackknife_se(ok, _sample_eps)
+        mu_se = math.sqrt(var) / math.sqrt(ok.size)
+        sigma_se = _jackknife_se(ok, lambda a: a.std(ddof=1))
     else:
-        mu = var = eps = eps_se = float("nan")
+        mu = var = eps = eps_se = mu_se = sigma_se = float("nan")
     return EnsembleSummary(
         records=records,
         mu_L=mu,
         var_L=var,
         eps_L=eps,
         eps_se=eps_se,
+        mu_se=mu_se,
+        sigma_se=sigma_se,
         n_ok=int(ok.size),
         n_diverged=int(n_diverged),
     )

@@ -257,7 +257,24 @@ def test_run_plan_rerun_replaces_store(tmp_path, monkeypatch):
         assert once_bytes == (tmp_path / "twice" / "store" / name).read_bytes(), name
 
 
-def test_run_plan_fits_come_from_rows(tmp_path):
+def _member_plot_stats(losses, quantity):
+    # (y, y_err) of one quantity, straight from an ensemble cell's member losses.
+    def eps(a):
+        return float(np.sqrt(a.var(ddof=1)) / a.mean()) if a.mean() > 0 else float("nan")
+
+    def jackknife(a, stat):
+        loo = np.array([stat(np.delete(a, i)) for i in range(a.size)])
+        return float(np.sqrt((a.size - 1) / a.size * np.sum((loo - loo.mean()) ** 2)))
+
+    arr = np.asarray(losses)
+    if quantity == "mu_L":
+        return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))
+    if quantity == "sigma_L":
+        return float(arr.std(ddof=1)), jackknife(arr, lambda a: a.std(ddof=1))
+    return eps(arr), jackknife(arr, eps)
+
+
+def _check_fits_and_plot_data_come_from_rows(tmp_path, sweep):
     from ntkuq.finite_width import TrainConfig
 
     plan = _small_plan(
@@ -266,22 +283,61 @@ def test_run_plan_fits_come_from_rows(tmp_path):
         ensemble_size=3,
         train_cfg=TrainConfig(eta=0.5, patience=10, max_epochs=30),
         arch=ArchitectureConfig(depth=2, input_dim=3, hidden_width=16),
+        lambda_b_sweep=sweep,
     )
     result = run_plan(plan, _small_dataset())
+    # one cell group per (series, lambda_b); the label names lambda_b only in a sweep
     expected = {}
-    for series, rows, (n_col, mu_col, var_col, eps_col) in (
-        ("infinite", [r for r in result.infwidth_rows if r[0] == "infinite"], (1, 3, 4, 5)),
-        ("bayesian", [r for r in result.infwidth_rows if r[0] == "bayesian"], (1, 3, 4, 5)),
-        ("finite", result.summary_rows, (0, 4, 5, 6)),
-    ):
-        for quantity, value in (
-            ("mu_L", lambda r: float(r[mu_col])),
-            ("sigma_L", lambda r: np.sqrt(float(r[var_col]))),
-            ("eps_L", lambda r: float(r[eps_col])),
+    labels = {}
+    for lam in sweep or [1.0]:
+        for series, rows, (n_col, lam_col, mu_col, var_col, eps_col) in (
+            ("infinite", [r for r in result.infwidth_rows if r[0] == "infinite"], (1, 2, 3, 4, 5)),
+            ("bayesian", [r for r in result.infwidth_rows if r[0] == "bayesian"], (1, 2, 3, 4, 5)),
+            ("finite", result.summary_rows, (0, 1, 4, 5, 6)),
         ):
-            pts = [(r[n_col], value(r)) for r in rows]
-            expected["%s:%s" % (series, quantity)] = fit_power_law(pts)
+            label = series + (":lambda_b=%.17g" % lam if sweep else "")
+            labels[series, lam] = label
+            rows = [r for r in rows if float(r[lam_col]) == lam]
+            for quantity, value in (
+                ("mu_L", lambda r: float(r[mu_col])),
+                ("sigma_L", lambda r: np.sqrt(float(r[var_col]))),
+                ("eps_L", lambda r: float(r[eps_col])),
+            ):
+                pts = [(r[n_col], value(r)) for r in rows]
+                expected["%s:%s" % (label, quantity)] = fit_power_law(pts)
+    assert len(expected) == 9 * max(1, len(sweep))
     assert result.fits == expected
+
+    # The plot data reads the same cell groups, and the finite rows carry the
+    # statistics of exactly their own cell's members.
+    store = str(tmp_path / "store")
+    with open(tmp_path / "store" / "ensemble.jsonl") as f:
+        members = [json.loads(line) for line in f]
+    for quantity in ("mu_L", "sigma_L", "eps_L"):
+        rows = emit_plot_data(store, quantity)
+        assert len(rows) == 9 * max(1, len(sweep))
+        assert len({(x, label) for x, _, _, label in rows}) == len(rows)
+        assert {label for *_, label in rows} == set(labels.values())
+        for lam in sweep or [1.0]:
+            for n_d in plan.sizes:
+                losses = [
+                    m["final_test_loss"]
+                    for m in members
+                    if (m["N_D"], m["lambda_b"]) == (n_d, lam) and m["stop_reason"] != "divergence"
+                ]
+                assert len(losses) == 3
+                label = labels["finite", lam]
+                finite = [r for r in rows if r[0] == n_d and r[3] == label]
+                assert finite == [(float(n_d), *_member_plot_stats(losses, quantity), label)]
+
+
+def test_run_plan_fits_come_from_rows(tmp_path):
+    _check_fits_and_plot_data_come_from_rows(tmp_path, [])
+
+
+def test_run_plan_fits_come_from_rows_of_each_lambda_b(tmp_path):
+    # 3 series x 3 lambda_b x 3 quantities: 27 fits
+    _check_fits_and_plot_data_come_from_rows(tmp_path, [0.5, 1.0, 2.0])
 
 
 def test_run_plan_lambda_sweep(tmp_path):
@@ -556,18 +612,31 @@ def test_emit_plot_data(tmp_path):
 
 def test_emit_plot_data_zero_loss_ensemble(tmp_path):
     # Members that all report 0 loss have mu_L = 0, where eps_L is undefined:
-    # the row is NaN, and no division warning is raised on the way.
+    # the summary row is NaN, and the plot data reads it without a warning.
     store = tmp_path / "store"
     store.mkdir()
-    with open(store / "ensemble.jsonl", "w") as f:
-        for seed in range(3):
-            rec = {"N_D": 8, "seed": seed, "final_test_loss": 0.0, "stop_reason": "max_epochs"}
-            f.write(json.dumps(rec) + "\n")
+    (store / "ensemble_summary.csv").write_text(
+        "N_D,lambda_b,width,optimizer,mu_L,var_L,eps_L,mu_L_se,sigma_L_se,eps_L_se,n_ok,n_diverged\n"
+        "8,1,16,full_batch_gd,0,0,nan,0,0,nan,3,0\n"
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = emit_plot_data(str(store), "eps_L")
     assert len(rows) == 1 and rows[0][0] == 8.0 and rows[0][3] == "finite"
     assert np.isnan(rows[0][1]) and np.isnan(rows[0][2])
+
+
+def test_emit_plot_data_rejects_a_store_of_other_columns(tmp_path):
+    # A summary without the SE columns would be read out of place.
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "ensemble_summary.csv").write_text(
+        "N_D,lambda_b,width,optimizer,mu_L,var_L,eps_L,n_ok,n_diverged\n"
+        "8,1,16,full_batch_gd,0.5,0.01,0.2,3,0\n"
+    )
+    with pytest.raises(ValueError, match="ensemble_summary.csv does not have the columns"):
+        emit_plot_data(str(store), "mu_L")
+
 
 def test_load_plan_file(tmp_path):
     path = tmp_path / "plan.txt"
@@ -814,6 +883,12 @@ def test_cli_sweep_fit_emit(tmp_path, capsys):
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["exponent"] == pytest.approx(-0.5, abs=1e-10)
+    # a column the file does not have is named, next to the ones it has
+    assert cli_main(["fit", "--input", str(fit_csv), "--y-col", "mu_L"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": "%s has no column mu_L; its columns are N_D, value" % fit_csv,
+    }
 
     rc = cli_main(
         [
@@ -840,13 +915,24 @@ def test_cli_sweep_rejects_unknown_keys_and_flags(tmp_path, capsys):
         ("infinite_width = no", ["infinite_width", "no"]),
         ("lambda_b_sweep = 0.5,0.5", ["lambda_b_sweep"]),
         ("lambda_b_sweep = 1.0,-1.0", ["lambda_b_sweep"]),
+        # a value that does not cast names its key
+        ("depth = three", ["depth", "three"]),
+        ("noise = x", ["noise", "'x'"]),
+        ("sizes = 8,x", ["sizes", "'x'"]),
+        ("lambda_b_sweep = 0.5,y", ["lambda_b_sweep", "'y'"]),
+        # a sweep replaces lambda_b, so the two are not given together
+        ("lambda_b = 3\nlambda_b_sweep = 0.5,1", ["lambda_b", "lambda_b_sweep"]),
     ):
-        plan.write_text(base + line + "\n")
+        # the case's value replaces the base plan's, so no key is given twice
+        key = line.split(" = ")[0]
+        body = "".join(kept + "\n" for kept in base.splitlines() if kept.split(" = ")[0] != key)
+        plan.write_text(body + line + "\n")
         rc = cli_main(["sweep", "run", "--plan", str(plan), "--out", str(store)])
         assert rc == 1, line
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert all(word in err["message"] for word in named), err
+        assert not store.exists(), line
     # a plan file without sizes names the missing key
     plan.write_text(base.replace("sizes = 4,8,16\n", ""))
     assert cli_main(["sweep", "run", "--plan", str(plan), "--out", str(store)]) == 1
@@ -918,6 +1004,29 @@ def test_cli_sweep_rejects_settings_idx_data_contradicts(
     assert _sweep_idx_plan(tmp_path, monkeypatch, line + "\n") == 1
     assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
     assert not (tmp_path / "store").exists()
+
+
+def test_teacher_settings_need_the_teacher_generator(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(
+        "sizes = 4,8,16\ndepth = 2\ninput_dim = 3\ntest_size = 8\nval_size = 4\n"
+        "generator = sinusoid\nteacher_depth = 7\nteacher_width = 5\n"
+    )
+    store = tmp_path / "store"
+    assert cli_main(["sweep", "run", "--plan", str(plan), "--out", str(store)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "sinusoid data does not read teacher_depth, teacher_width"
+    }
+    assert not store.exists()
+    # a misspelt generator is named as such, not as a generator that reads no teacher settings
+    plan.write_text(plan.read_text().replace("sinusoid", "teachr"))
+    assert cli_main(["sweep", "run", "--plan", str(plan), "--out", str(store)]) == 1
+    assert json.loads(capsys.readouterr().err)["message"] == "unknown synthetic generator 'teachr'"
+    args = ["ensemble", "run", "--generator", "sinusoid", "--teacher-width", "5", "--members", "2"]
+    assert cli_main(args) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "sinusoid data does not read teacher_width"
+    }
 
 
 def test_cli_sweep_run_on_event_file(tmp_path, capsys):
