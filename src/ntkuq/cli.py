@@ -11,7 +11,7 @@ from .errors import NtkuqError
 from .kernels import ArchitectureConfig, InputSet, build_kernel_pair, save_kernel_pair
 from .infwidth import bayesian_posterior, closed_form_posterior, save_posterior_jsonl
 from .loss_stats import loss_stats
-from .datasets import DATASET_SETTINGS, dataset_from_spec, split_arrays, split_ids
+from .datasets import DATASET_SETTINGS, dataset_from_spec, read_setting, split_arrays, split_ids
 from .finite_width import TrainConfig, run_ensemble
 from .scaling import fit_power_law
 from .experiment import emit_plot_data, plan_from_file, run_plan
@@ -31,23 +31,21 @@ def _arch_from_args(args, input_dim, **network):
 
 
 def _cmd_kernel_build(args):
-    X = np.load(args.inputs)
-    arch = _arch_from_args(args, X.shape[1])
-    kp = build_kernel_pair(InputSet(X), arch)
+    inputs = InputSet(np.load(args.inputs))
+    kp = build_kernel_pair(inputs, _arch_from_args(args, inputs.input_dim))
     save_kernel_pair(kp, args.out)
     print(json.dumps({"count": kp.count, "layer": kp.layer, "out": args.out}))
 
 
 def _cmd_infwidth_predict(args):
-    X = np.load(args.inputs)
+    inputs = InputSet(np.load(args.inputs))
     y = np.load(args.labels)
     n_train = args.n_train
-    if not 0 < n_train < X.shape[0]:
+    if not 0 < n_train < inputs.count:
         raise ValueError("--n-train must split the input rows")
-    arch = _arch_from_args(args, X.shape[1])
-    kp = build_kernel_pair(InputSet(X), arch)
+    kp = build_kernel_pair(inputs, _arch_from_args(args, inputs.input_dim))
     train_ids = np.arange(n_train)
-    test_ids = np.arange(n_train, X.shape[0])
+    test_ids = np.arange(n_train, inputs.count)
     post_fn = bayesian_posterior if args.bayesian else closed_form_posterior
     post = post_fn(kp, train_ids, test_ids, y[:n_train])
     save_posterior_jsonl(post, args.out, ids=test_ids)
@@ -123,7 +121,12 @@ def _cmd_fit(args):
                 "%s has no column %s; its columns are %s"
                 % (args.input, ", ".join(missing), ", ".join(columns))
             )
-        pts = [(float(r[args.x_col]), float(r[args.y_col])) for r in reader]
+
+        def value(row, col):
+            where = "%s line %d, column %s" % (args.input, reader.line_num, col)
+            return read_setting(where, float, row[col])
+
+        pts = [(value(r, args.x_col), value(r, args.y_col)) for r in reader]
     fit = fit_power_law(pts)
     print(
         json.dumps(

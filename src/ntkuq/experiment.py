@@ -26,13 +26,7 @@ import numpy as np
 from .errors import IllConditionedError, NtkuqError
 from .datasets import DATASET_SETTINGS, dataset_from_spec, read_setting, split_arrays, split_ids
 from .kernels import ArchitectureConfig, InputSet, build_kernel_pair
-from .infwidth import (
-    EarlyStopPolicy,
-    PredictivePosterior,
-    bayesian_posterior,
-    closed_form_posterior,
-    gd_evolve,
-)
+from .infwidth import EarlyStopPolicy, bayesian_posterior, closed_form_posterior, gd_evolve
 from .loss_stats import loss_stats
 from .finite_width import TrainConfig, run_ensemble
 from .scaling import epsilon_flatness_check, fit_power_law
@@ -135,43 +129,29 @@ def _fmt(value):
     return value
 
 
-def _infinite_cell(kp, labels, train_ids, val_ids, test_ids, bayesian):
-    """Posterior over test_ids for one (size, lambda_b) cell of a shared kernel.
-
-    Index arrays and labels refer to the rows of kp. Falls back from the
-    closed form to the iterated GD map when the train NTK is
-    ill-conditioned. The Bayesian path has no fallback.
-    """
-    y_train = labels[train_ids]
-    if bayesian:
-        return bayesian_posterior(kp, train_ids, test_ids, y_train)
-    try:
-        return closed_form_posterior(kp, train_ids, test_ids, y_train)
-    except IllConditionedError:
-        n_val = val_ids.size
-        policy = EarlyStopPolicy(
-            validation_ids=np.arange(n_val),
-            validation_labels=labels[val_ids],
-            patience=20,
-            check_every=100,
-            max_steps=1_000_000,
-        )
-        side_ids = np.concatenate([val_ids, test_ids])
-        post = gd_evolve(kp, train_ids, side_ids, y_train, eta=None, stop=policy)
-        return PredictivePosterior(
-            mean=post.mean[n_val:],
-            cov=post.cov[n_val:, n_val:],
-            method="iterative",
-            steps_used=post.steps_used,
-        )
-
-
 def _cell_scalars(kp, labels, n_d, val_ids, test_ids, bayesian):
     """(loss stats, method, steps_used) of one cell; raises the error that skips it.
 
-    Returns scalars only, so no posterior outlives its cell.
+    The cell trains on kp's first n_d rows. An ill-conditioned train NTK falls back
+    from the closed form to the GD map, stopped on val_ids; the Bayesian path has
+    no fallback. Returns scalars only, so no posterior outlives its cell.
     """
-    post = _infinite_cell(kp, labels, np.arange(n_d), val_ids, test_ids, bayesian)
+    train_ids = np.arange(n_d)
+    y_train = labels[train_ids]
+    if bayesian:
+        post = bayesian_posterior(kp, train_ids, test_ids, y_train)
+    else:
+        try:
+            post = closed_form_posterior(kp, train_ids, test_ids, y_train)
+        except IllConditionedError:
+            policy = EarlyStopPolicy(
+                validation_ids=val_ids,
+                validation_labels=labels[val_ids],
+                patience=20,
+                check_every=100,
+                max_steps=1_000_000,
+            )
+            post = gd_evolve(kp, train_ids, test_ids, y_train, stop=policy)
     return loss_stats(post, labels[test_ids]), post.method, post.steps_used
 
 
@@ -285,18 +265,17 @@ def run_plan(plan, dataset):
                 )
 
             if plan.ensemble_size >= 2:
-                cfg = replace(plan.train_cfg, eta=plan.train_cfg.eta / max(lam_b, 1.0))
                 split = split_arrays(dataset, pool[:n_d], val_ids, test_ids)
                 base_seed = plan.master_seed + 10_000 * (
                     plan.sizes.index(n_d) + len(plan.sizes) * lam_index
                 )
-                summary = run_ensemble(split, arch, cfg, plan.ensemble_size, base_seed)
+                summary = run_ensemble(split, arch, plan.train_cfg, plan.ensemble_size, base_seed)
                 summary_rows.append(
                     [
                         n_d,
                         _fmt(lam_b),
                         arch.hidden_width,
-                        cfg.optimizer,
+                        plan.train_cfg.optimizer,
                         _fmt(summary.mu_L),
                         _fmt(summary.var_L),
                         _fmt(summary.eps_L),
@@ -312,7 +291,7 @@ def run_plan(plan, dataset):
                         {
                             **cell,
                             "width": arch.hidden_width,
-                            "optimizer": cfg.optimizer,
+                            "optimizer": plan.train_cfg.optimizer,
                             "seed": rec.seed,
                             "final_test_loss": rec.final_test_loss,
                             "best_val_loss": rec.best_val_loss,

@@ -324,12 +324,15 @@ def _sample_eps(losses):
 def run_ensemble(split, arch, cfg, n_members, base_seed):
     """Train n_members networks differing only in their init seed.
 
-    Returns per-member records, the sample mean/variance of the final test
-    losses and eps, the SE of the mean and the jackknife SEs of std and eps.
+    Every member trains with eta / max(arch.lambda_b, 1), because Theta, and
+    with it the largest stable step, scales with lambda_b. Returns
+    per-member records, the sample mean/variance of the final test losses
+    and eps, the SE of the mean and the jackknife SEs of std and eps.
     Diverged members are kept in the records but excluded from moments.
     """
     if n_members < 2:
         raise ValueError("an ensemble needs at least 2 members")
+    cfg = replace(cfg, eta=cfg.eta / max(arch.lambda_b, 1.0))
     records = []
     for i in range(n_members):
         seed = base_seed + i

@@ -88,8 +88,9 @@ class PredictivePosterior:
 class EarlyStopPolicy:
     """Validation-loss early stopping for the iterated GD map.
 
-    validation_ids index into the test-side points handed to gd_evolve;
-    patience is counted in checks, each check_every steps apart.
+    validation_ids are rows of the KernelPair handed to gd_evolve, like its
+    train_ids and test_ids; patience is counted in checks, each check_every
+    steps apart.
     """
 
     validation_ids: np.ndarray
@@ -169,27 +170,33 @@ def _one_blas_thread():
             set_(n)
 
 
-def _posterior_from_blocks(M_A, M_B, K_A, K_B, K_BB, y, name, method):
+def _factor(M_A, name):
+    """(ldl, ipiv), the dsytrf factor of M_A that scipy.linalg.solve(assume_a="sym") makes.
+
+    IllConditionedError unless M_A is finite and LAPACK's 1-norm reciprocal
+    condition estimate on the factor is >= RCOND_LIMIT. Call inside _one_blas_thread.
+    """
     n = M_A.shape[0]
     if n == 0:
         raise ValueError("empty training set")
+    rcond = 0.0
+    if np.all(np.isfinite(M_A)):
+        norm = np.abs(M_A).sum(axis=0).max()
+        lwork, _ = lapack.dsytrf_lwork(n)
+        ldl, ipiv, info = lapack.dsytrf(M_A, lwork=int(lwork))
+        if info == 0 and norm > 0:
+            rcond, _ = lapack.dsycon(ldl, ipiv, norm)
+    if not rcond >= RCOND_LIMIT:
+        raise IllConditionedError(
+            "%s 1-norm reciprocal condition estimate %.3g below %g; use the iterative GD path"
+            % (name, rcond, RCOND_LIMIT)
+        )
+    return ldl, ipiv
+
+
+def _posterior_from_blocks(M_A, M_B, K_A, K_B, K_BB, y, name, method):
     with _one_blas_thread():
-        # One Bunch-Kaufman LDL^T factor of the upper triangle, with the blocked
-        # workspace: the call scipy.linalg.solve(assume_a="sym") makes. The gate
-        # is LAPACK's 1-norm reciprocal condition estimate on that factor, and
-        # the solve T = M_A^{-1} M_B reuses it.
-        rcond = 0.0
-        if np.all(np.isfinite(M_A)):
-            norm = np.abs(M_A).sum(axis=0).max()
-            lwork, _ = lapack.dsytrf_lwork(n)
-            ldl, ipiv, info = lapack.dsytrf(M_A, lwork=int(lwork))
-            if info == 0 and norm > 0:
-                rcond, _ = lapack.dsycon(ldl, ipiv, norm)
-        if not rcond >= RCOND_LIMIT:
-            raise IllConditionedError(
-                "%s 1-norm reciprocal condition estimate %.3g below %g; use the iterative GD path"
-                % (name, rcond, RCOND_LIMIT)
-            )
+        ldl, ipiv = _factor(M_A, name)
         # C order, as scipy.linalg.solve returns it, keeps the GEMMs' bits.
         T = np.ascontiguousarray(lapack.dsytrs(ldl, ipiv, M_B)[0])
         mean = T.T @ y
@@ -220,20 +227,30 @@ def bayesian_posterior(kp, train_ids, test_ids, labels):
     return _posterior_from_blocks(K_A, K_B, K_A, K_B, K_BB, y, "K_A", "bayesian")
 
 
-def gd_evolve(kp, train_ids, test_ids, labels, eta=None, stop=None):
+def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, stop):
     """Evolve the joint output distribution under the linear GD map.
 
-    Starts from mean 0 and covariance K over train and test points and
-    applies z <- z - eta * Theta[:, A] (z_A - y) jointly; the covariance
-    is conjugated by the linear part. Stops on the early-stop policy and
-    returns the posterior over test points at the best-validation step.
+    Starts from mean 0 and covariance K over the train, validation and test
+    rows of kp (the validation rows are stop.validation_ids) and applies
+    z <- z - eta * Theta[:, A] (z_A - y) jointly; the covariance is
+    conjugated by the linear part. Stops on the early-stop policy and
+    returns the posterior over test_ids only, at the best-validation step.
+    eta defaults to 1 / lambda_max(Theta_A).
     """
     tr = np.asarray(train_ids, dtype=int)
     te = np.asarray(test_ids, dtype=int)
+    va = stop.validation_ids
+    if np.any(va < 0) or np.any(va >= kp.count):
+        raise ValueError("validation ids must be rows of the %d-point kernel" % kp.count)
     y = label_matrix(labels, tr.size)
-    joint = np.concatenate([tr, te])
+    val_labels = stop.validation_labels
+    if val_labels.shape[1] != y.shape[1]:
+        raise ValueError("validation labels and train labels disagree on n_out")
+    joint = np.concatenate([tr, va, te])
     n = joint.size
     n_train = tr.size
+    val_rows = slice(n_train, n_train + va.size)
+    test_rows = slice(n_train + va.size, n)
     Theta_joint = kp.Theta[np.ix_(joint, joint)]
     K_joint = kp.K[np.ix_(joint, joint)]
 
@@ -242,15 +259,6 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, stop=None):
         eta = 1.0 / lam_max
     if eta < 0:
         raise ValueError("eta must be >= 0")
-
-    if stop is None:
-        raise ValueError("gd_evolve requires an EarlyStopPolicy")
-    val_rows = n_train + stop.validation_ids
-    if np.any(stop.validation_ids < 0) or np.any(stop.validation_ids >= te.size):
-        raise ValueError("validation ids must index into the test-side points")
-    val_labels = stop.validation_labels
-    if val_labels.shape[1] != y.shape[1]:
-        raise ValueError("validation labels and train labels disagree on n_out")
 
     # One GD step: z <- M z + c with M = I - eta * Theta[:, A], acting on
     # the train columns only.
@@ -296,8 +304,7 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, stop=None):
                 break
 
     mean, cov, steps_used = best
-    test_rows = np.arange(n_train, n)
-    cov_test = cov[np.ix_(test_rows, test_rows)]
+    cov_test = cov[test_rows, test_rows]
     cov_test = 0.5 * (cov_test + cov_test.T)
     return PredictivePosterior(
         mean=mean[test_rows], cov=cov_test, method="iterative", steps_used=steps_used

@@ -33,9 +33,12 @@ class InputSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.atleast_2d(np.asarray(self.points, dtype=float)))
+        pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] < 1:
-            raise ValueError("points must be a 2D array with >= 1 feature")
+            raise ValueError(
+                "points shape %s is not 2-D with >= 1 feature: rows are points" % (pts.shape,)
+            )
+        pts = np.ascontiguousarray(pts)
         if not np.all(np.isfinite(pts)):
             raise ValueError("input points contain non-finite entries")
         object.__setattr__(self, "points", pts)

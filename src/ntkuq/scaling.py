@@ -3,6 +3,10 @@
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
+
+from .errors import IllConditionedError
+from .infwidth import _factor, _one_blas_thread
 
 __all__ = [
     "ScalingFit",
@@ -94,8 +98,10 @@ def matrix_element_scan(builder, sizes):
     """Mean |element| of the kernel/NTK blocks across training-set sizes.
 
     builder(n_d) must return (KernelPair, train_ids, test_ids) for that
-    size. Sizes whose train NTK is numerically singular are excluded and
-    reported. Exponents are fitted when >= 3 sizes survive.
+    size. The train NTK Theta_A is inverted on the closed-form posterior's
+    gated factor, so the sizes excluded and reported are exactly those the
+    posterior rejects (reciprocal condition estimate below RCOND_LIMIT).
+    Exponents are fitted when >= 3 sizes survive.
     """
     names = [
         "theta_test_train",
@@ -110,15 +116,15 @@ def matrix_element_scan(builder, sizes):
         kp, train_ids, test_ids = builder(n_d)
         tr = np.asarray(train_ids, dtype=int)
         te = np.asarray(test_ids, dtype=int)
-        theta_a = kp.Theta[np.ix_(tr, tr)]
         try:
-            inv = np.linalg.inv(theta_a)
-        except np.linalg.LinAlgError:
+            with _one_blas_thread():
+                # dsytrf's info == 0, which _factor requires, rules out dsytri's info > 0.
+                inv = lapack.dsytri(*_factor(kp.Theta[np.ix_(tr, tr)], "Theta_A"))[0]
+        except IllConditionedError:
             excluded.append(n_d)
             continue
-        if not np.all(np.isfinite(inv)):
-            excluded.append(n_d)
-            continue
+        # dsytri writes the upper triangle of the inverse only.
+        inv = np.triu(inv) + np.triu(inv, 1).T
         off_mask = ~np.eye(tr.size, dtype=bool)
         stats["theta_test_train"][n_d] = _mean_abs(kp.Theta[np.ix_(tr, te)])
         stats["kernel_train"][n_d] = _mean_abs(kp.K[np.ix_(tr, tr)])

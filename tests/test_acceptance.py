@@ -105,7 +105,7 @@ def test_criterion_2_closed_form_vs_iterative():
         closed = closed_form_posterior(kp, tr, np.arange(n_train, n_train + n_test), y)
         lam = np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
         pol = EarlyStopPolicy(
-            validation_ids=np.arange(n_test, n_test + n_val),
+            validation_ids=np.arange(n_train + n_test, n_train + n_test + n_val),
             validation_labels=y[:n_val],
             patience=50,
             check_every=200,

@@ -27,13 +27,7 @@ from ntkuq import (
 from ntkuq.cli import main as cli_main
 from ntkuq.datasets import DATASET_SETTINGS
 from ntkuq.errors import IllConditionedError
-from ntkuq.infwidth import (
-    EarlyStopPolicy,
-    PredictivePosterior,
-    bayesian_posterior,
-    closed_form_posterior,
-    gd_evolve,
-)
+from ntkuq.infwidth import EarlyStopPolicy, bayesian_posterior, closed_form_posterior, gd_evolve
 from ntkuq.kernels import build_kernel_pair
 from ntkuq.loss_stats import loss_stats
 from ntkuq.scaling import fit_power_law
@@ -464,8 +458,8 @@ def _per_cell_kernel_rows(plan, ds):
             X = np.vstack([X[tr], X[val_ids], X[test_ids]])
             kp = build_kernel_pair(InputSet(X), arch)
             train = np.arange(n_d)
-            side = np.arange(n_d, n_d + n_val + n_te)
-            test = side[n_val:]
+            val = np.arange(n_d, n_d + n_val)
+            test = np.arange(n_d + n_val, n_d + n_val + n_te)
             y = ds.labels[tr]
             for name in ("infinite", "bayesian"):
                 try:
@@ -476,21 +470,13 @@ def _per_cell_kernel_rows(plan, ds):
                             post = closed_form_posterior(kp, train, test, y)
                         except IllConditionedError:
                             policy = EarlyStopPolicy(
-                                validation_ids=np.arange(n_val),
+                                validation_ids=val,
                                 validation_labels=ds.labels[val_ids],
                                 patience=20,
                                 check_every=100,
                                 max_steps=1_000_000,
                             )
-                            full = gd_evolve(kp, train, side, y, eta=None, stop=policy)
-                            keep = np.arange(n_val, n_val + n_te)
-                            cov = full.cov[np.ix_(keep, keep)]
-                            post = PredictivePosterior(
-                                mean=full.mean[n_val:],
-                                cov=0.5 * (cov + cov.T),
-                                method="iterative",
-                                steps_used=full.steps_used,
-                            )
+                            post = gd_evolve(kp, train, test, y, eta=None, stop=policy)
                 except IllConditionedError:
                     skipped.append((name, n_d, float(lam_b)))
                     continue
@@ -853,6 +839,40 @@ def test_cli_analytic_commands_reject_network_flags(tmp_path, capsys, command, f
         cli_main(args + [flag, "7"])
     assert exc.value.code == 2
     assert "unrecognized arguments: %s 7" % flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["kernel", "infwidth"])
+def test_cli_analytic_commands_reject_1d_inputs(tmp_path, capsys, command):
+    # 40 values are not guessed to be 40 points or 40 features: rows are points.
+    np.save(tmp_path / "x.npy", np.linspace(-1.0, 1.0, 40))
+    np.save(tmp_path / "y.npy", np.zeros((30, 1)))
+    args = {
+        "kernel": ["kernel", "build"],
+        "infwidth": ["infwidth", "predict", "--labels", str(tmp_path / "y.npy"), "--n-train", "30"],
+    }[command]
+    assert cli_main(args + ["--inputs", str(tmp_path / "x.npy"), "--out", str(tmp_path / "o")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "points shape (40,)" in err["message"]
+
+
+def test_cli_ensemble_run_divides_eta_by_lambda_b(capsys):
+    # At lambda_b = 4 the default eta = 1 diverges; every ensemble steps with eta / 4.
+    args = ["ensemble", "run", "--n-points", "32", "--depth", "3", "--lambda-b", "4",
+            "--members", "2", "--max-epochs", "20", "--train-size", "16", "--val-size", "8",
+            "--test-size", "8"]
+    assert cli_main(args) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert (rec["n_ok"], rec["n_diverged"]) == (2, 0)
+
+
+def test_cli_fit_names_the_bad_cell(tmp_path, capsys):
+    fit_csv = tmp_path / "fitme.csv"
+    fit_csv.write_text("N_D,value\n10,1.0\n100,x\n1000,0.1\n")
+    assert cli_main(["fit", "--input", str(fit_csv)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": "%s line 3, column value: 'x' is not a valid float" % fit_csv,
+    }
 
 
 def test_cli_sweep_fit_emit(tmp_path, capsys):

@@ -416,8 +416,11 @@ def test_ensemble_trains_with_the_architecture_lambdas():
     got = run_ensemble(split, arch, cfg, 3, base_seed=0).records
     base = run_ensemble(split, replace(arch, lambda_b=1.0), cfg, 3, base_seed=0).records
     assert [r.final_test_loss for r in got] != [r.final_test_loss for r in base]
+    # run_ensemble steps with eta / max(lambda_b, 1).
     want = [
-        _public_call_training(init_network(arch, seed), split, arch, replace(cfg, seed=seed))
+        _public_call_training(
+            init_network(arch, seed), split, arch, replace(cfg, eta=cfg.eta / 4, seed=seed)
+        )
         for seed in range(3)
     ]
     assert repr(got) == repr(want)

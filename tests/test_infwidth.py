@@ -40,9 +40,9 @@ def _random_instance(seed, n_train=8, n_test=3, d=10, depth=2, n_out=1, lambda_b
 
 
 def _dup_train_policy(kp, n_train, n_test, y, n_val=2, **kw):
-    """Test side ending in duplicated train points used for validation."""
+    """Validation on the duplicated train points, the last kernel rows."""
     return EarlyStopPolicy(
-        validation_ids=np.arange(n_test, n_test + n_val),
+        validation_ids=np.arange(n_train + n_test, n_train + n_test + n_val),
         validation_labels=y[:n_val],
         **kw,
     )
@@ -94,15 +94,15 @@ def test_gd_evolve_matches_closed_form():
     for seed, depth in [(2, 1), (3, 2), (4, 3)]:
         kp, n_train, n_test, y = _with_dup_train(seed, depth=depth)
         tr = np.arange(n_train)
-        te = np.arange(n_train, n_train + n_test + 2)
-        closed = closed_form_posterior(kp, tr, np.arange(n_train, n_train + n_test), y)
+        te = np.arange(n_train, n_train + n_test)
+        closed = closed_form_posterior(kp, tr, te, y)
         pol = _dup_train_policy(
             kp, n_train, n_test, y, patience=50, check_every=200, max_steps=2_000_000
         )
         lam = np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
         post = gd_evolve(kp, tr, te, y, eta=0.5 / lam, stop=pol)
-        np.testing.assert_allclose(post.mean[:n_test], closed.mean, rtol=1e-6)
-        np.testing.assert_allclose(post.cov[:n_test, :n_test], closed.cov, atol=1e-5)
+        np.testing.assert_allclose(post.mean, closed.mean, rtol=1e-6)
+        np.testing.assert_allclose(post.cov, closed.cov, atol=1e-5)
 
 
 def test_gd_evolve_scalar_contraction():
@@ -111,7 +111,7 @@ def test_gd_evolve_scalar_contraction():
     kp2 = KernelPair(K=kp.K, Theta=kp.Theta, layer=kp.layer)
     theta_aa = kp.Theta[0, 0]
     pol = EarlyStopPolicy(
-        validation_ids=np.array([1]),
+        validation_ids=np.array([0]),
         validation_labels=y,
         patience=100,
         check_every=50,
@@ -126,7 +126,7 @@ def test_gd_evolve_scalar_contraction():
 def test_gd_evolve_eta_zero_identity():
     kp, tr, te, y = _random_instance(6)
     pol = EarlyStopPolicy(
-        validation_ids=np.arange(te.size),
+        validation_ids=te,
         validation_labels=np.zeros((te.size, 1)),
         patience=3,
         check_every=10,
@@ -141,7 +141,7 @@ def test_gd_evolve_divergence_detected():
     kp, tr, te, y = _random_instance(7)
     lam = np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
     pol = EarlyStopPolicy(
-        validation_ids=np.arange(te.size),
+        validation_ids=te,
         validation_labels=np.zeros((te.size, 1)),
         patience=1000,
         check_every=100,
@@ -151,10 +151,31 @@ def test_gd_evolve_divergence_detected():
         gd_evolve(kp, tr, te, y, eta=3.0 / lam, stop=pol)
 
 
+def test_gd_evolve_returns_only_the_test_rows():
+    # Validation rows are kernel rows of their own: the joint is [train,
+    # validation, test], and the posterior covers test_ids alone.
+    kp, tr, side, y = _random_instance(12, n_train=8, n_test=6)
+    va, te = side[:2], side[2:]
+    lam = np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
+    pol = EarlyStopPolicy(va, kp.K[va, :1], patience=3, check_every=10, max_steps=3000)
+    post = gd_evolve(kp, tr, te, y, eta=0.5 / lam, stop=pol)
+    assert post.mean.shape == (te.size, 1) and post.cov.shape == (te.size, te.size)
+    # The old call shape, validation rows handed in on the test side too,
+    # puts them in the joint twice. Its test block stops at the same step
+    # and differs only by GEMM rounding.
+    both = gd_evolve(kp, tr, side, y, eta=0.5 / lam, stop=pol)
+    assert both.steps_used == post.steps_used > 0
+    np.testing.assert_allclose(post.mean, both.mean[2:], rtol=1e-12)
+    np.testing.assert_allclose(post.cov, both.cov[2:, 2:], rtol=1e-12, atol=1e-15)
+    for bad in (-1, kp.count):
+        with pytest.raises(ValueError, match="validation ids"):
+            gd_evolve(kp, tr, te, y, stop=EarlyStopPolicy([bad], np.zeros((1, 1))))
+
+
 def test_eta_independence_of_limits():
     kp, n_train, n_test, y = _with_dup_train(8)
     tr = np.arange(n_train)
-    te = np.arange(n_train, n_train + n_test + 2)
+    te = np.arange(n_train, n_train + n_test)
     lam = np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
     results = []
     for frac in (0.1, 0.5, 1.0):
@@ -162,7 +183,7 @@ def test_eta_independence_of_limits():
             kp, n_train, n_test, y, patience=50, check_every=200, max_steps=2_000_000
         )
         post = gd_evolve(kp, tr, te, y, eta=frac / lam, stop=pol)
-        results.append(post.mean[:n_test])
+        results.append(post.mean)
     np.testing.assert_allclose(results[0], results[1], rtol=1e-5)
     np.testing.assert_allclose(results[1], results[2], rtol=1e-5)
 
@@ -315,7 +336,7 @@ def test_posterior_jsonl_round_trip(tmp_path):
 def test_posterior_jsonl_keeps_method_and_steps(tmp_path):
     kp, n_train, n_test, y = _with_dup_train(72)
     tr = np.arange(n_train)
-    te = np.arange(n_train, n_train + n_test + 2)
+    te = np.arange(n_train, n_train + n_test)
     pol = _dup_train_policy(kp, n_train, n_test, y, patience=3, check_every=10, max_steps=200)
     lam = np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
     posts = [bayesian_posterior(kp, tr, te, y), gd_evolve(kp, tr, te, y, eta=0.5 / lam, stop=pol)]
@@ -361,7 +382,7 @@ def _label_consumers(n_out):
     tr, te = np.arange(3), np.arange(3, 5)
     post = PredictivePosterior(mean=np.zeros((3, n_out)), cov=np.eye(3), method="x")
     stop = EarlyStopPolicy(
-        validation_ids=[0], validation_labels=np.zeros((1, n_out)), check_every=1, max_steps=3
+        validation_ids=[3], validation_labels=np.zeros((1, n_out)), check_every=1, max_steps=3
     )
     arch = ArchitectureConfig(depth=2, input_dim=4, hidden_width=8, n_out=n_out)
 

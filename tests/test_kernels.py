@@ -274,6 +274,13 @@ def test_input_set_rejects_nonfinite():
         InputSet([[1.0, np.nan]])
 
 
+def test_input_set_takes_2d_arrays_only():
+    # rows are points: a 1-D array is neither one point nor a column, it is rejected
+    for shape in [(40,), (2, 3, 4), (5, 0)]:
+        with pytest.raises(ValueError, match=r"points shape \(%s" % shape[0]):
+            InputSet(np.zeros(shape))
+
+
 def test_binary_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     X = rng.standard_normal((6, 3))

@@ -3,11 +3,14 @@ import pytest
 
 from ntkuq import (
     ArchitectureConfig,
+    IllConditionedError,
     InputSet,
     KernelPair,
     build_kernel_pair,
+    closed_form_posterior,
     epsilon_flatness_check,
     fit_power_law,
+    make_synthetic,
     matrix_element_scan,
 )
 from ntkuq.scaling import ScalingFit
@@ -139,6 +142,30 @@ def test_scan_singular_size_excluded():
     report = matrix_element_scan(build, [4, 8, 16])
     assert report.excluded_sizes == [8]
     assert 8 not in report.stats["inv_theta"]
+
+
+def test_scan_excludes_what_the_posterior_gate_rejects():
+    # LU inverts Theta_A at kappa ~ 4e12 and 2e16 without complaint; the scan
+    # excludes every size the closed-form posterior's gate rejects, and
+    # inverts the others on that gate's factor.
+    data = make_synthetic("sinusoid", 200, 2, 3)
+    kp = build_kernel_pair(data.inputs, ArchitectureConfig(depth=3, input_dim=2))
+    sizes, te = [8, 16, 32, 64, 128], np.arange(128, 200)
+    report = matrix_element_scan(lambda n_d: (kp, np.arange(n_d), te), sizes)
+    assert report.excluded_sizes == [64, 128]
+    for n_d in sizes:
+        try:
+            closed_form_posterior(kp, np.arange(n_d), te, data.labels[:n_d])
+        except IllConditionedError:
+            assert n_d not in report.stats["inv_theta"]
+            continue
+        theta_a = kp.Theta[:n_d, :n_d]
+        inv = np.linalg.inv(theta_a)
+        off = inv[~np.eye(n_d, dtype=bool)]
+        tol = 4 * np.linalg.cond(theta_a) * np.finfo(float).eps
+        for name, want in (("inv_theta", inv), ("inv_theta_diag", np.diag(inv)),
+                           ("inv_theta_offdiag", off)):
+            assert report.stats[name][n_d] == pytest.approx(np.mean(np.abs(want)), rel=tol)
 
 
 def test_scan_permutation_invariance():
