@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .kernels import ArchitectureConfig, InputSet, label_matrix
+from .kernels import ArchitectureConfig, InputSet, _point_rows, label_matrix
 from .finite_width import init_network, forward
 
 __all__ = [
@@ -151,7 +151,7 @@ def load_event_vectors(path, energy_min, energy_max):
 
 def save_event_vectors(path, inputs, energies):
     """Write the flat event-vector binary layout read by load_event_vectors."""
-    X = np.atleast_2d(np.asarray(inputs, dtype=float))
+    X = _point_rows(inputs)
     energies = np.asarray(energies, dtype=float).ravel()
     with open(path, "wb") as f:
         f.write(struct.pack("<QQ", X.shape[0], X.shape[1]))

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DivergenceError
-from .kernels import label_matrix
+from .kernels import _point_rows, label_matrix
 from .loss_stats import _eps
 
 __all__ = [
@@ -134,7 +134,7 @@ def _forward_trace(net, X):
     and acts[ell] = erf(zs[ell - 1]). The readout zs[-1] is linear.
     """
     zs, acts = [], []
-    a = np.atleast_2d(np.asarray(X, dtype=float))
+    a = _point_rows(X)
     for ell, (W, b) in enumerate(zip(net.weights, net.biases)):
         if ell > 0:
             a = erf(zs[-1])
@@ -211,7 +211,7 @@ def adam_epoch(net, X, Y, cfg, opt, rng):
 
     Plain Adam on all parameters; the learning-rate tensor is not applied.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _point_rows(X)
     Y = label_matrix(Y, X.shape[0], net.weights[-1].shape[0])
     return _adam_epoch(net, X, Y, cfg, opt, rng)
 
@@ -251,7 +251,7 @@ def train_with_early_stopping(net, split, arch, cfg, val_loss_fn=None):
     next GD step its gradient. Labels are checked once, before the first
     epoch.
     """
-    x_tr = np.atleast_2d(np.asarray(split["x_train"], dtype=float))
+    x_tr = _point_rows(split["x_train"])
     x_te, y_te = split["x_test"], split["y_test"]
 
     opt = AdamState.zeros_like(net) if cfg.optimizer == "adam" else None
@@ -260,7 +260,7 @@ def train_with_early_stopping(net, split, arch, cfg, val_loss_fn=None):
     trace = _forward_trace(net, x_tr)
     y_tr = label_matrix(split["y_train"], *trace[0][-1].shape)
     if val_loss_fn is None:
-        x_val = np.atleast_2d(np.asarray(split["x_val"], dtype=float))
+        x_val = _point_rows(split["x_val"])
         y_val = label_matrix(split["y_val"], x_val.shape[0], y_tr.shape[1])
         val_loss_fn = lambda n_, epoch: _mse(forward(n_, x_val), y_val)
     initial_train = _mse(trace[0][-1], y_tr)

@@ -107,17 +107,35 @@ class EarlyStopPolicy:
             raise ValueError("patience and check_every must be >= 1")
 
 
+def _as_range(ids, n):
+    """ids as a slice when they are an ascending contiguous range in [0, n), else None.
+
+    Other ids, negative or out-of-bounds ones included, keep np.ix_'s meaning.
+    """
+    if ids.size and 0 <= ids[0] and ids[-1] < n and np.all(np.diff(ids) == 1):
+        return slice(int(ids[0]), int(ids[-1]) + 1)
+    return None
+
+
 def _blocks(kp, M, train_ids, test_ids):
     """(M_A, M_B, K_A, K_B, K_BB) for the matrix M a route solves (Theta or K).
 
-    When M is kp.K its blocks are the K blocks, so nothing is copied twice.
+    When train_ids and test_ids are each an ascending contiguous range, as
+    run_plan's are, the blocks are read-only views of kp's matrices;
+    otherwise they are np.ix_ copies. When M is kp.K its blocks are the K
+    blocks, so nothing is taken twice.
     """
     tr = np.asarray(train_ids, dtype=int)
     te = np.asarray(test_ids, dtype=int)
-    K_A = kp.K[np.ix_(tr, tr)]
-    K_B = kp.K[np.ix_(tr, te)]
-    M_A, M_B = (K_A, K_B) if M is kp.K else (M[np.ix_(tr, tr)], M[np.ix_(tr, te)])
-    return M_A, M_B, K_A, K_B, kp.K[np.ix_(te, te)]
+    rows, cols = _as_range(tr, kp.count), _as_range(te, kp.count)
+    if rows is None or cols is None:
+        index = np.ix_
+    else:
+        tr, te, index = rows, cols, lambda a, b: (a, b)
+    K_A = kp.K[index(tr, tr)]
+    K_B = kp.K[index(tr, te)]
+    M_A, M_B = (K_A, K_B) if M is kp.K else (M[index(tr, tr)], M[index(tr, te)])
+    return M_A, M_B, K_A, K_B, kp.K[index(te, te)]
 
 
 @functools.cache
@@ -196,9 +214,10 @@ def _factor(M_A, name):
 
 def _posterior_from_blocks(M_A, M_B, K_A, K_B, K_BB, y, name, method):
     with _one_blas_thread():
-        ldl, ipiv = _factor(M_A, name)
-        # C order, as scipy.linalg.solve returns it, keeps the GEMMs' bits.
-        T = np.ascontiguousarray(lapack.dsytrs(ldl, ipiv, M_B)[0])
+        # The factor is freed when dsytrs returns, before T is copied to C
+        # order: the order scipy.linalg.solve returns, which keeps the GEMMs' bits.
+        T = lapack.dsytrs(*_factor(M_A, name), M_B)[0]
+        T = np.ascontiguousarray(T)
         mean = T.T @ y
         cov = K_BB - T.T @ K_B - K_B.T @ T + T.T @ K_A @ T
     cov = 0.5 * (cov + cov.T)

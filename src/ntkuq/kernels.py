@@ -24,6 +24,21 @@ __all__ = [
 ]
 
 _ARCSIN_CLAMP_TOL = 1e-9
+_BLOCK_ROWS = 64  # rows per block of the tiled recursion in build_kernel_pair
+
+
+def _point_rows(X):
+    """X as a float array whose rows are points; ValueError unless it is 2-D with >= 1 feature.
+
+    Only the shape is checked: a 1-D array is neither one point nor a
+    column, so it is rejected, not guessed at.
+    """
+    pts = np.asarray(X, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise ValueError(
+            "points shape %s is not 2-D with >= 1 feature: rows are points" % (pts.shape,)
+        )
+    return pts
 
 
 @dataclass(frozen=True)
@@ -33,12 +48,7 @@ class InputSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] < 1:
-            raise ValueError(
-                "points shape %s is not 2-D with >= 1 feature: rows are points" % (pts.shape,)
-            )
-        pts = np.ascontiguousarray(pts)
+        pts = np.ascontiguousarray(_point_rows(self.points))
         if not np.all(np.isfinite(pts)):
             raise ValueError("input points contain non-finite entries")
         object.__setattr__(self, "points", pts)
@@ -139,20 +149,25 @@ class KernelPair:
         return self.K.shape[0]
 
 
-def _erf_pair_matrices(K):
-    """Both erf pair expectations, S = E[erf erf] and Sdot = E[erf' erf'], per entry of K.
-
-    Raises ValueError on a negative diagonal entry or a discriminant
-    (1 + 2 K_aa)(1 + 2 K_bb) - 4 K_ab^2 <= 0 (equivalently, an arcsine
-    argument of magnitude >= 1); for a PSD K the discriminant is >= 1.
-    """
-    diag = np.diag(K)
+def _diag_factors(diag):
+    """d = 1 + 2 K_aa, the row and column factors of the erf closed forms."""
     if diag.min() < 0:
         raise ValueError("diagonal covariance entries must be >= 0")
-    # Each matrix is built in one buffer by in-place steps; once Sdot is
-    # done, their shared outer product becomes S's denominator in place.
-    d = 1.0 + 2.0 * diag
-    outer = np.outer(d, d)
+    return 1.0 + 2.0 * diag
+
+
+def _erf_pair(K, d_rows, d_cols):
+    """Both erf pair expectations, S = E[erf erf] and Sdot = E[erf' erf'], per entry of K.
+
+    d_rows and d_cols are the factors 1 + 2 K_aa of each entry's row and
+    column, broadcast against K: (r, 1) and (c,) for an r x c block, or
+    vectors of K's length when K is a diagonal. Raises ValueError on a
+    discriminant (1 + 2 K_aa)(1 + 2 K_bb) - 4 K_ab^2 <= 0 (equivalently, an
+    arcsine argument of magnitude >= 1); for a PSD K the discriminant is >= 1.
+    """
+    # Each result is built in one buffer by in-place steps; once Sdot is
+    # done, the outer product of the factors becomes S's denominator in place.
+    outer = d_rows * d_cols
     Sdot = np.multiply(4.0, K)
     Sdot *= K
     np.subtract(outer, Sdot, out=Sdot)
@@ -166,6 +181,16 @@ def _erf_pair_matrices(K):
     np.arcsin(S, out=S)
     S *= 2.0 / np.pi
     return S, Sdot
+
+
+def _erf_pair_matrices(K):
+    """_erf_pair over a whole square K, its factors taken from K's diagonal.
+
+    Raises ValueError on a negative diagonal entry or a non-positive
+    discriminant.
+    """
+    d = _diag_factors(np.diag(K))
+    return _erf_pair(K, d[:, None], d)
 
 
 def _erf_pair_2x2(k_aa, k_ab, k_bb):
@@ -199,6 +224,14 @@ def build_kernel_pair(inputs, arch):
     Layer 1: K = X X^T / n_0, Theta = lambda_b + lambda_w * K.
     Each recursion step ell -> ell+1 (ell = 1 .. L-1) applies the erf
     pair expectations and adds the per-layer bias scale lambda_b / ell.
+
+    Entry (a, b) of layer ell+1 needs only K_ab, K_aa and K_bb of layer
+    ell, so after the layer-1 Gram the recursion runs on the diagonal as
+    vectors and then on one block of _BLOCK_ROWS rows of the upper
+    triangle at a time, through every layer, in contiguous buffers; each
+    block is written back with its transpose. The entries get the bits of
+    the whole-matrix recursion, and the build peaks at about 1.2x the pair
+    it returns.
     """
     if not isinstance(inputs, InputSet):
         inputs = InputSet(inputs)
@@ -206,16 +239,29 @@ def build_kernel_pair(inputs, arch):
     n0 = inputs.input_dim
     K = X @ X.T / n0  # X is C-contiguous, so this is a BLAS syrk: exactly symmetric
     Theta = arch.lambda_b + arch.lambda_w * K
-    for ell in range(1, arch.depth):
-        S, Sdot = _erf_pair_matrices(K)
-        # Theta <- (lambda_b / ell + lambda_w * S) + Sdot * Theta, in place:
-        # Sdot * Theta first, then the bias-and-S term into Sdot's buffer.
-        Theta *= Sdot
-        np.multiply(arch.lambda_w, S, out=Sdot)
-        Sdot += arch.lambda_b / ell
-        Theta += Sdot
-        del Sdot  # freed before the next layer allocates its temporaries
-        K = S
+    factors = []  # d = 1 + 2 K_aa at layers 1 .. L-1
+    diag = np.diag(K).copy()
+    for _ in range(1, arch.depth):
+        factors.append(_diag_factors(diag))
+        diag = _erf_pair(diag, factors[-1], factors[-1])[0]
+    n = inputs.count
+    # Depth 1 has no recursion, so no blocks.
+    for i0 in range(0, n if factors else 0, _BLOCK_ROWS):
+        i1 = min(i0 + _BLOCK_ROWS, n)
+        K_blk = K[i0:i1, i0:].copy()
+        Th_blk = Theta[i0:i1, i0:].copy()
+        for ell, d in enumerate(factors, start=1):
+            S, Sdot = _erf_pair(K_blk, d[i0:i1, None], d[i0:])
+            # Theta <- (lambda_b / ell + lambda_w * S) + Sdot * Theta, in place:
+            # Sdot * Theta first, then the bias-and-S term into Sdot's buffer.
+            Th_blk *= Sdot
+            np.multiply(arch.lambda_w, S, out=Sdot)
+            Sdot += arch.lambda_b / ell
+            Th_blk += Sdot
+            K_blk = S
+        for M, blk in ((K, K_blk), (Theta, Th_blk)):
+            M[i0:i1, i0:] = blk
+            M[i1:, i0:i1] = blk[:, i1 - i0 :].T
     return KernelPair(K=K, Theta=Theta, layer=arch.depth)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import IllConditionedError
-from .infwidth import _factor, _one_blas_thread
+from .infwidth import _blocks, _factor, _one_blas_thread
 
 __all__ = [
     "ScalingFit",
@@ -114,24 +114,24 @@ def matrix_element_scan(builder, sizes):
     excluded = []
     for n_d in sizes:
         kp, train_ids, test_ids = builder(n_d)
-        tr = np.asarray(train_ids, dtype=int)
-        te = np.asarray(test_ids, dtype=int)
+        Th_A, Th_B, K_A, _, _ = _blocks(kp, kp.Theta, train_ids, test_ids)
         try:
             with _one_blas_thread():
                 # dsytrf's info == 0, which _factor requires, rules out dsytri's info > 0.
-                inv = lapack.dsytri(*_factor(kp.Theta[np.ix_(tr, tr)], "Theta_A"))[0]
+                inv = lapack.dsytri(*_factor(Th_A, "Theta_A"))[0]
         except IllConditionedError:
             excluded.append(n_d)
             continue
         # dsytri writes the upper triangle of the inverse only.
         inv = np.triu(inv) + np.triu(inv, 1).T
-        off_mask = ~np.eye(tr.size, dtype=bool)
-        stats["theta_test_train"][n_d] = _mean_abs(kp.Theta[np.ix_(tr, te)])
-        stats["kernel_train"][n_d] = _mean_abs(kp.K[np.ix_(tr, tr)])
+        n_train = Th_A.shape[0]
+        off_mask = ~np.eye(n_train, dtype=bool)
+        stats["theta_test_train"][n_d] = _mean_abs(Th_B)
+        stats["kernel_train"][n_d] = _mean_abs(K_A)
         stats["inv_theta"][n_d] = _mean_abs(inv)
         stats["inv_theta_diag"][n_d] = _mean_abs(np.diag(inv))
         stats["inv_theta_offdiag"][n_d] = (
-            _mean_abs(inv[off_mask]) if tr.size > 1 else 0.0
+            _mean_abs(inv[off_mask]) if n_train > 1 else 0.0
         )
 
     exponents = {}

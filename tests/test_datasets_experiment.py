@@ -113,6 +113,14 @@ def test_event_vectors_validation(tmp_path):
         load_event_vectors(tmp_path / "short.bin", 10.0, 100.0)
 
 
+def test_event_vectors_reject_inputs_that_are_not_2d(tmp_path):
+    # 40 values are not one 40-feature event: rows are points, and no file is written.
+    path = tmp_path / "events.bin"
+    with pytest.raises(ValueError, match=r"points shape \(40,\) .* rows are points"):
+        save_event_vectors(path, np.linspace(-1, 1, 40), [50.0])
+    assert not path.exists()
+
+
 def test_make_synthetic_deterministic():
     arch = ArchitectureConfig(depth=2, input_dim=3, hidden_width=8)
     a = make_synthetic("teacher", 10, 3, seed=5, teacher_arch=arch)

@@ -431,3 +431,31 @@ def test_ensemble_requires_two_members():
     split = _split(np.random.default_rng(19), arch)
     with pytest.raises(ValueError):
         run_ensemble(split, arch, TrainConfig(eta=0.1), 1, base_seed=0)
+
+
+def test_forward_rejects_inputs_that_are_not_2d():
+    # 40 values are not one point of a 40-input network: rows are points.
+    net = init_network(ArchitectureConfig(depth=2, input_dim=40, hidden_width=8), seed=30)
+    for X in (np.linspace(-1, 1, 40), np.zeros((2, 40, 1))):
+        with pytest.raises(ValueError, match=r"points shape \(%d,.* rows are points" % X.shape[0]):
+            forward(net, X)
+
+
+def test_adam_epoch_rejects_inputs_that_are_not_2d():
+    arch = ArchitectureConfig(depth=2, input_dim=40, hidden_width=8)
+    net = init_network(arch, seed=31)
+    opt = AdamState.zeros_like(net)
+    cfg = TrainConfig(eta=0.1, optimizer="adam")
+    with pytest.raises(ValueError, match=r"points shape \(40,\) .* rows are points"):
+        adam_epoch(net, np.linspace(-1, 1, 40), np.zeros((1, 1)), cfg, opt, np.random.default_rng(0))
+
+
+def test_training_rejects_train_and_validation_inputs_that_are_not_2d():
+    arch = _small_arch(d=4)
+    for key in ("x_train", "x_val"):
+        split = _split(np.random.default_rng(32), arch)
+        split[key] = split[key][0]  # one point as a bare (4,) vector
+        with pytest.raises(ValueError, match=r"points shape \(4,\) .* rows are points"):
+            train_with_early_stopping(
+                init_network(arch, seed=32), split, arch, TrainConfig(eta=0.1, max_epochs=1)
+            )

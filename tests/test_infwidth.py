@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,3 +495,73 @@ def test_posterior_bits_match_the_symmetric_solve():
         want = PredictivePosterior(mean=mean, cov=0.5 * (cov + cov.T), method="x")
         got = route(kp, tr, te, y)
         assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
+
+
+def test_contiguous_ids_read_views_with_the_bits_of_copies():
+    # run_plan's ids are ascending ranges: the blocks are views of kp, and
+    # both routes give the bits of the same solve on explicit np.ix_ copies.
+    kp, tr, te, y = _random_instance(91, n_train=120, n_test=40, d=12, depth=3, n_out=2)
+    for route, M, name in (
+        (closed_form_posterior, kp.Theta, "Theta_A"),
+        (bayesian_posterior, kp.K, "K_A"),
+    ):
+        blocks = infwidth._blocks(kp, M, tr, te)
+        assert all(np.shares_memory(b, kp.K) or np.shares_memory(b, kp.Theta) for b in blocks)
+        copies = (M[np.ix_(tr, tr)], M[np.ix_(tr, te)], kp.K[np.ix_(tr, tr)],
+                  kp.K[np.ix_(tr, te)], kp.K[np.ix_(te, te)])
+        want = _posterior_from_blocks(*copies, y, name, "x")
+        got = route(kp, tr, te, y)
+        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
+
+
+def test_non_contiguous_ids_take_copies_and_match_the_oracle():
+    kp, _, _, _ = _random_instance(92, n_train=10, n_test=6)
+    y = np.random.default_rng(92).standard_normal((5, 1))
+    for tr, te in (
+        ([9, 2, 5, 0, 7], [1, 3, 4]),  # shuffled
+        ([0, 1, 2, 4, 5], [6, 7, 8]),  # a gap in the train rows
+        ([4, 3, 2, 1, 0], [5, 6, 7]),  # a descending range
+    ):
+        blocks = infwidth._blocks(kp, kp.Theta, tr, te)
+        assert not any(np.shares_memory(b, kp.K) or np.shares_memory(b, kp.Theta) for b in blocks)
+        post = closed_form_posterior(kp, tr, te, y)
+        eta = 0.5 / np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
+        mean, cov = gd_map_limit(kp.Theta, kp.K, tr, te, y, eta, steps=20000)
+        np.testing.assert_allclose(post.mean, mean, rtol=1e-6)
+        np.testing.assert_allclose(post.cov, cov, atol=1e-6)
+        # Reordering the kernel so that the same rows are ranges gives the same bits.
+        order = np.concatenate([tr, te])
+        ranged = KernelPair(K=kp.K[np.ix_(order, order)], Theta=kp.Theta[np.ix_(order, order)],
+                            layer=kp.layer)
+        for route in (closed_form_posterior, bayesian_posterior):
+            a = route(kp, tr, te, y)
+            b = route(ranged, np.arange(5), np.arange(5, 8), y)
+            assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+
+
+def test_posterior_on_contiguous_ids_copies_only_the_factor():
+    # Views instead of np.ix_ copies: above the pair, each route holds at most
+    # dsytrf's n_train^2 copy of the factor and the n_train x n_test solves.
+    n_train = 512
+    kp, tr, te, y = _random_instance(93, n_train=n_train, n_test=64, d=16, depth=3)
+    for route in (closed_form_posterior, bayesian_posterior):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            route(kp, tr, te, y)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n_train**2 * 8, route.__name__
+
+
+def test_ids_outside_the_kernel_keep_their_np_ix_meaning():
+    # A range past the last row is not truncated to a view; it raises as
+    # np.ix_ does. A negative range indexes from the end, as np.ix_ does.
+    kp, tr, te, y = _random_instance(94, n_train=6, n_test=2)
+    with pytest.raises(IndexError):
+        closed_form_posterior(kp, tr, np.arange(6, 9), y)
+    for route in (closed_form_posterior, bayesian_posterior):
+        a = route(kp, tr, np.arange(-2, 0), y)
+        b = route(kp, tr, te, y)
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)

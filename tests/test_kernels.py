@@ -14,6 +14,7 @@ from ntkuq import (
     load_kernel_pair,
     save_kernel_pair,
 )
+from ntkuq import kernels
 from ntkuq.finite_width import forward, init_network
 from ntkuq.kernels import _erf_pair_matrices
 
@@ -267,6 +268,48 @@ def test_kernel_build_in_place():
         Theta = arch.lambda_b / ell + arch.lambda_w * S + Sdot * Theta
         K = S
     assert np.array_equal(kp.K, K) and np.array_equal(kp.Theta, Theta)
+
+
+def _untiled_reference(X, arch):
+    # The whole-matrix recursion, layer by layer, in plain expressions.
+    K = X @ X.T / X.shape[1]
+    Theta = arch.lambda_b + arch.lambda_w * K
+    for ell in range(1, arch.depth):
+        outer = np.outer(1.0 + 2.0 * np.diag(K), 1.0 + 2.0 * np.diag(K))
+        Sdot = (4.0 / np.pi) / np.sqrt(outer - 4.0 * K * K)
+        S = (2.0 / np.pi) * np.arcsin(np.clip(2.0 * K / np.sqrt(outer), -1.0, 1.0))
+        Theta = arch.lambda_b / ell + arch.lambda_w * S + Sdot * Theta
+        K = S
+    return K, Theta
+
+
+def test_tiled_build_matches_the_untiled_recursion():
+    # Row counts around the block edges: one point, a partial block, exact
+    # blocks, and a last block of one row.
+    block = kernels._BLOCK_ROWS
+    rng = np.random.default_rng(15)
+    for n in (1, block - 1, block, block + 1, 2 * block + 1):
+        X = rng.standard_normal((n, 6))
+        for depth in range(1, 6):
+            arch = ArchitectureConfig(depth=depth, input_dim=6, lambda_b=0.7, lambda_w=1.3)
+            kp = build_kernel_pair(InputSet(X), arch)
+            K, Theta = _untiled_reference(X, arch)
+            assert np.array_equal(kp.K, K) and np.array_equal(kp.Theta, Theta), (n, depth)
+
+
+def test_tiled_build_peaks_near_the_pair_it_returns():
+    # The whole-matrix recursion peaked at 2.5x the pair; one block of rows
+    # at a time holds only a few row blocks beyond it.
+    X = np.random.default_rng(16).standard_normal((1296, 16))
+    arch = ArchitectureConfig(depth=3, input_dim=16)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kp = build_kernel_pair(InputSet(X), arch)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * (kp.K.nbytes + kp.Theta.nbytes)
 
 
 def test_input_set_rejects_nonfinite():
