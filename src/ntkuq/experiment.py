@@ -9,12 +9,12 @@ The analytic cells of one lambda_b share a single kernel over the largest
 training set plus the validation and test points; each cell indexes into
 it. Only one lambda_b's kernel is alive at a time, so peak memory is the
 largest cell's kernel. Bayesian cells use K alone, which does not depend
-on lambda_b, so each is computed once per size and its row repeated for
-every lambda_b. A plan whose analytic cells are all Bayesian builds one
-kernel.
+on lambda_b, so each is computed once per size and its row, or its skip
+record, repeated for every lambda_b. A plan whose analytic cells are all
+Bayesian builds one kernel.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 import csv
 import hashlib
 import io
@@ -72,6 +72,8 @@ class ExperimentPlan:
 
     def __post_init__(self):
         sizes = [int(s) for s in self.sizes]
+        if not sizes or sizes[0] < 1:
+            raise ValueError("sizes must be a non-empty list of sizes >= 1")
         if sizes != sorted(sizes):
             raise ValueError("sizes must be sorted ascending")
         if len(set(sizes)) != len(sizes):
@@ -83,7 +85,9 @@ class ExperimentPlan:
         object.__setattr__(self, "lambda_b_sweep", sweep)
         if self.test_size < 1 or self.val_size < 1:
             raise ValueError("test_size and val_size must be >= 1")
-        if self.ensemble_size >= 2 and self.train_cfg is None:
+        if not (self.ensemble_size == 0 or self.ensemble_size >= 2):
+            raise ValueError("ensemble_size must be 0 or >= 2")
+        if self.ensemble_size and self.train_cfg is None:
             raise ValueError("an ensemble plan needs a train_cfg")
 
 
@@ -129,8 +133,13 @@ def _fmt(value):
     return value
 
 
-def _cell_scalars(kp, labels, n_d, val_ids, test_ids, bayesian):
-    """(loss stats, method, steps_used) of one cell; raises the error that skips it.
+def _row(columns, **values):
+    """One CSV row: values in the order of columns, each float written as _FMT."""
+    return [_fmt(values[name]) for name in columns]
+
+
+def _cell_outcome(kp, labels, n_d, val_ids, test_ids, bayesian):
+    """(loss stats, method, steps_used) of one cell, or the message of the error that skips it.
 
     The cell trains on kp's first n_d rows. An ill-conditioned train NTK falls back
     from the closed form to the GD map, stopped on val_ids; the Bayesian path has
@@ -138,21 +147,24 @@ def _cell_scalars(kp, labels, n_d, val_ids, test_ids, bayesian):
     """
     train_ids = np.arange(n_d)
     y_train = labels[train_ids]
-    if bayesian:
-        post = bayesian_posterior(kp, train_ids, test_ids, y_train)
-    else:
-        try:
-            post = closed_form_posterior(kp, train_ids, test_ids, y_train)
-        except IllConditionedError:
-            policy = EarlyStopPolicy(
-                validation_ids=val_ids,
-                validation_labels=labels[val_ids],
-                patience=20,
-                check_every=100,
-                max_steps=1_000_000,
-            )
-            post = gd_evolve(kp, train_ids, test_ids, y_train, stop=policy)
-    return loss_stats(post, labels[test_ids]), post.method, post.steps_used
+    try:
+        if bayesian:
+            post = bayesian_posterior(kp, train_ids, test_ids, y_train)
+        else:
+            try:
+                post = closed_form_posterior(kp, train_ids, test_ids, y_train)
+            except IllConditionedError:
+                policy = EarlyStopPolicy(
+                    validation_ids=val_ids,
+                    validation_labels=labels[val_ids],
+                    patience=20,
+                    check_every=100,
+                    max_steps=1_000_000,
+                )
+                post = gd_evolve(kp, train_ids, test_ids, y_train, stop=policy)
+        return loss_stats(post, labels[test_ids]), post.method, post.steps_used
+    except NtkuqError as exc:
+        return str(exc)
 
 
 def _cell_groups(infwidth_rows, summary_rows):
@@ -189,7 +201,14 @@ def _fits(infwidth_rows, summary_rows):
 
 
 def run_plan(plan, dataset):
-    """Execute every (size, lambda_b) cell of a plan and persist results."""
+    """Execute every (size, lambda_b) cell of a plan and persist results.
+
+    Each analytic cell gives one outcome: an infwidth.csv row, or a
+    skipped.jsonl record with the message of the NtkuqError that skipped it.
+    Rows are built from INFWIDTH_COLUMNS, SUMMARY_COLUMNS and FIT_COLUMNS;
+    an ensemble.jsonl record is the cell, width and optimizer, then the
+    EnsembleRunRecord's fields, then config_hash.
+    """
     dataset.check_shape(input_dim=plan.arch.input_dim, n_out=plan.arch.n_out)
     cfg_hash = _config_hash(plan, dataset)
     test_ids, val_ids, pool = split_ids(
@@ -203,11 +222,6 @@ def run_plan(plan, dataset):
     summary_rows = []
     member_rows = []
     skipped = []
-    series = []
-    if plan.infinite_width:
-        series.append(("infinite", False))
-    if plan.bayesian:
-        series.append(("bayesian", True))
 
     # Every cell trains on a prefix of pool and shares val/test, so one
     # kernel over [pool[:max N_D], val, test] holds all of a lambda_b's cells.
@@ -218,10 +232,9 @@ def run_plan(plan, dataset):
     kernel_val = np.arange(n_max, n_max + val_ids.size)
     kernel_test = np.arange(n_max + val_ids.size, kernel_rows.size)
     # lambda_b enters Theta only, so a Bayesian cell (which uses K alone) is
-    # solved once per N_D, at the first lambda_b; its scalars, or the error
-    # that skipped it, are reused for every lambda_b.
-    bayes_cells = {}
-    bayes_errors = {}
+    # solved once per N_D, at the first lambda_b; bayes[N_D] is its outcome
+    # for every lambda_b.
+    bayes = {}
 
     for lam_index, lam_b in enumerate(lambdas):
         arch = replace(plan.arch, lambda_b=lam_b)
@@ -230,82 +243,52 @@ def run_plan(plan, dataset):
         kp = None
         if plan.infinite_width or (plan.bayesian and lam_index == 0):
             kp = build_kernel_pair(kernel_inputs, arch)
-        for n_d in plan.sizes:
+        for size_index, n_d in enumerate(plan.sizes):
             cell = {"N_D": n_d, "lambda_b": lam_b}
-            for name, is_bayes in series:
-                try:
-                    if is_bayes and n_d in bayes_errors:
-                        raise bayes_errors[n_d]
-                    if is_bayes and n_d in bayes_cells:
-                        stats, method, steps_used = bayes_cells[n_d]
-                    else:
-                        stats, method, steps_used = _cell_scalars(
-                            kp, kernel_labels, n_d, kernel_val, kernel_test, is_bayes
-                        )
-                        if is_bayes:
-                            bayes_cells[n_d] = stats, method, steps_used
-                except (IllConditionedError, NtkuqError) as exc:
-                    if is_bayes:
-                        bayes_errors[n_d] = exc
-                    skipped.append({"series": name, **cell, "error": str(exc)})
+            outcomes = {}
+            if plan.infinite_width:
+                outcomes["infinite"] = _cell_outcome(
+                    kp, kernel_labels, n_d, kernel_val, kernel_test, bayesian=False
+                )
+            if plan.bayesian:
+                if n_d not in bayes:
+                    bayes[n_d] = _cell_outcome(
+                        kp, kernel_labels, n_d, kernel_val, kernel_test, bayesian=True
+                    )
+                outcomes["bayesian"] = bayes[n_d]
+            for name, outcome in outcomes.items():
+                if isinstance(outcome, str):
+                    skipped.append({"series": name, **cell, "error": outcome})
                     continue
+                stats, method, steps_used = outcome
                 infwidth_rows.append(
-                    [
-                        name,
-                        n_d,
-                        _fmt(lam_b),
-                        _fmt(stats.mu_L),
-                        _fmt(stats.var_L),
-                        _fmt(stats.eps_L),
-                        method,
-                        steps_used,
-                        cfg_hash,
-                        plan.master_seed,
-                    ]
+                    _row(
+                        INFWIDTH_COLUMNS, series=name, **cell, mu_L=stats.mu_L,
+                        var_L=stats.var_L, eps_L=stats.eps_L, method=method,
+                        steps_used=steps_used, config_hash=cfg_hash, master_seed=plan.master_seed,
+                    )
                 )
 
-            if plan.ensemble_size >= 2:
+            if plan.ensemble_size:
                 split = split_arrays(dataset, pool[:n_d], val_ids, test_ids)
-                base_seed = plan.master_seed + 10_000 * (
-                    plan.sizes.index(n_d) + len(plan.sizes) * lam_index
-                )
+                base_seed = plan.master_seed + 10_000 * (size_index + len(plan.sizes) * lam_index)
                 summary = run_ensemble(split, arch, plan.train_cfg, plan.ensemble_size, base_seed)
+                finite = {**cell, "width": arch.hidden_width, "optimizer": plan.train_cfg.optimizer}
                 summary_rows.append(
-                    [
-                        n_d,
-                        _fmt(lam_b),
-                        arch.hidden_width,
-                        plan.train_cfg.optimizer,
-                        _fmt(summary.mu_L),
-                        _fmt(summary.var_L),
-                        _fmt(summary.eps_L),
-                        _fmt(summary.mu_se),
-                        _fmt(summary.sigma_se),
-                        _fmt(summary.eps_se),
-                        summary.n_ok,
-                        summary.n_diverged,
-                    ]
-                )
-                for rec in summary.records:
-                    member_rows.append(
-                        {
-                            **cell,
-                            "width": arch.hidden_width,
-                            "optimizer": plan.train_cfg.optimizer,
-                            "seed": rec.seed,
-                            "final_test_loss": rec.final_test_loss,
-                            "best_val_loss": rec.best_val_loss,
-                            "epochs_run": rec.epochs_run,
-                            "stop_reason": rec.stop_reason,
-                            "config_hash": cfg_hash,
-                        }
+                    _row(
+                        SUMMARY_COLUMNS, **finite, mu_L=summary.mu_L, var_L=summary.var_L,
+                        eps_L=summary.eps_L, mu_L_se=summary.mu_se, sigma_L_se=summary.sigma_se,
+                        eps_L_se=summary.eps_se, n_ok=summary.n_ok, n_diverged=summary.n_diverged,
                     )
+                )
+                member_rows += [
+                    {**finite, **asdict(rec), "config_hash": cfg_hash} for rec in summary.records
+                ]
 
     fits = _fits(infwidth_rows, summary_rows)
     flatness = epsilon_flatness_check(fits.get("infinite:eps_L"))
     fit_rows = [
-        [name, fit.n_points, _fmt(fit.exponent), _fmt(fit.slope_sigma), _fmt(fit.intercept), _fmt(fit.r_squared)]
-        for name, fit in sorted(fits.items())
+        _row(FIT_COLUMNS, quantity=name, **asdict(fit)) for name, fit in sorted(fits.items())
     ]
     verdict = {k: getattr(flatness, k) for k in ("verdict", "exponent", "slope_sigma", "threshold")}
     # Every file is written whole, so a rerun replaces an earlier run's store.

@@ -67,8 +67,10 @@ class TrainConfig:
     def __post_init__(self):
         if not self.eta > 0:  # NaN fails it too
             raise ValueError("eta must be > 0")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        if self.patience < 1 or self.minibatch < 1:
+            raise ValueError("patience and minibatch must be >= 1")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be >= 0")
         if self.optimizer not in ("full_batch_gd", "adam"):
             raise ValueError("unknown optimizer %r" % self.optimizer)
 

@@ -101,6 +101,8 @@ class EarlyStopPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "validation_ids", np.asarray(self.validation_ids, dtype=int))
+        if self.validation_ids.size == 0:
+            raise ValueError("early stopping needs at least one validation id")
         labels = label_matrix(self.validation_labels, self.validation_ids.size)
         object.__setattr__(self, "validation_labels", labels)
         if self.patience < 1 or self.check_every < 1:
@@ -286,12 +288,17 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, stop):
     c = eta * (Theta_joint[:, :n_train] @ y)
 
     # Compose check_every steps into a single affine map so each check
-    # costs one matrix triple product; the dynamics are unchanged.
+    # costs one matrix triple product; the dynamics are unchanged. When
+    # check_every does not divide max_steps, the last check takes the map
+    # of the remaining steps, composed on the way.
+    tail = stop.max_steps % stop.check_every
     A = np.eye(n)
     b = np.zeros_like(c)
-    for _ in range(stop.check_every):
+    for k in range(1, stop.check_every + 1):
         b = M @ b + c
         A = M @ A
+        if k == tail:
+            tail_map = (A, b)
 
     mean = np.zeros((n, y.shape[1]))
     cov = K_joint
@@ -304,9 +311,11 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, stop):
     bad_checks = 0
     step = 0
     while step < stop.max_steps:
-        mean = A @ mean + b
-        cov = A @ cov @ A.T
-        step += stop.check_every
+        steps = min(stop.check_every, stop.max_steps - step)
+        A_k, b_k = (A, b) if steps == stop.check_every else tail_map
+        mean = A_k @ mean + b_k
+        cov = A_k @ cov @ A_k.T
+        step += steps
         val = _mean_loss(np.diag(cov)[val_rows], val_labels - mean[val_rows])
         if not np.isfinite(val) or val > DIVERGENCE_FACTOR * max(initial_val, 1e-300):
             raise DivergenceError(
@@ -331,12 +340,17 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, stop):
 
 
 def save_posterior_jsonl(post, path, ids=None):
-    """One JSON record per test point: {id, mean[], var, method, steps_used}."""
+    """One JSON record per test point: {id, mean[], var, method, steps_used}.
+
+    ids, one per test point, default to 0 .. n_test - 1.
+    """
     if ids is None:
         ids = range(post.n_test)
+    if len(ids) != post.n_test:
+        raise ValueError("%d ids given for a posterior of %d test points" % (len(ids), post.n_test))
     var = post.var
     with open(path, "w") as f:
-        for row, pid in zip(range(post.n_test), ids):
+        for row, pid in enumerate(ids):
             rec = {
                 "id": int(pid),
                 "mean": [float(v) for v in post.mean[row]],

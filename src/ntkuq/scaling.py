@@ -138,10 +138,7 @@ def matrix_element_scan(builder, sizes):
     for name in names:
         pts = [(n_d, v) for n_d, v in sorted(stats[name].items()) if v > 0]
         if len(pts) >= 3:
-            try:
-                exponents[name] = fit_power_law(pts)
-            except ValueError:
-                pass
+            exponents[name] = fit_power_law(pts)
     return MatrixScalingReport(stats=stats, exponents=exponents, excluded_sizes=excluded)
 
 

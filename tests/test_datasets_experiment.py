@@ -421,6 +421,7 @@ def test_run_plan_builds_one_kernel_per_lambda_b(tmp_path, monkeypatch):
 def test_run_plan_solves_each_bayesian_cell_once(tmp_path, monkeypatch):
     # K does not depend on lambda_b, so neither does a Bayesian cell.
     from ntkuq import experiment
+    from ntkuq.finite_width import EnsembleRunRecord, TrainConfig
 
     calls = []
 
@@ -432,7 +433,13 @@ def test_run_plan_solves_each_bayesian_cell_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiment, "bayesian_posterior", counting_bayes)
     lambdas = [0.5, 1.0, 2.0]
-    plan = _small_plan(tmp_path, lambda_b_sweep=lambdas, bayesian=True)
+    plan = _small_plan(
+        tmp_path,
+        lambda_b_sweep=lambdas,
+        bayesian=True,
+        ensemble_size=2,
+        train_cfg=TrainConfig(eta=0.5, patience=5, max_epochs=10),
+    )
     result = run_plan(plan, _small_dataset())
     assert calls == [4, 8, 16]
     bayes = [r for r in result.infwidth_rows if r[0] == "bayesian"]
@@ -445,6 +452,25 @@ def test_run_plan_solves_each_bayesian_cell_once(tmp_path, monkeypatch):
     assert [(s["series"], s["N_D"], s["lambda_b"]) for s in result.skipped] == [
         ("bayesian", 16, lam) for lam in lambdas
     ]
+
+    # The store holds exactly the returned rows, under their headers; a
+    # member record is the cell, then the EnsembleRunRecord, then the hash.
+    store = tmp_path / "store"
+    for name, columns, rows in (
+        ("infwidth.csv", experiment.INFWIDTH_COLUMNS, result.infwidth_rows),
+        ("ensemble_summary.csv", experiment.SUMMARY_COLUMNS, result.summary_rows),
+    ):
+        with open(store / name, newline="") as f:
+            header, *table = csv.reader(f)
+        assert header == columns and len(rows) > 0
+        assert table == [[str(v) for v in row] for row in rows]
+    with open(store / "ensemble.jsonl") as f:
+        members = [json.loads(line) for line in f]
+    fields = list(EnsembleRunRecord.__dataclass_fields__)
+    assert len(members) == 2 * len(plan.sizes) * len(lambdas)
+    for m in members:
+        assert list(m) == ["N_D", "lambda_b", "width", "optimizer", *fields, "config_hash"]
+        assert m["config_hash"] == result.config_hash
 
 
 def _per_cell_kernel_rows(plan, ds):
@@ -673,6 +699,29 @@ def test_plan_validation():
     for eta in (nan, 0.0, -0.1):
         with pytest.raises(ValueError, match="eta must be > 0"):
             TrainConfig(eta=eta)
+    for bad, message in ((dict(minibatch=0), "minibatch"), (dict(max_epochs=-1), "max_epochs")):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(eta=0.1, **bad)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(sizes=[]), "sizes must be a non-empty list"),
+        (dict(sizes=[0, 8]), "sizes must be a non-empty list of sizes >= 1"),
+        (dict(ensemble_size=1), "ensemble_size must be 0 or >= 2"),
+        (dict(ensemble_size=-3), "ensemble_size must be 0 or >= 2"),
+    ],
+    ids=["no_sizes", "size_0", "ensemble_1", "ensemble_negative"],
+)
+def test_plan_rejects_plans_that_run_nothing(tmp_path, bad, message):
+    # Each would otherwise write no rows, or fail after making the store.
+    from ntkuq.finite_width import TrainConfig
+
+    with pytest.raises(ValueError, match=message):
+        plan = _small_plan(tmp_path, train_cfg=TrainConfig(eta=0.5, max_epochs=5), **bad)
+        run_plan(plan, _small_dataset())
+    assert not (tmp_path / "store").exists()
 
 
 def test_ensemble_plan_needs_train_cfg(tmp_path):

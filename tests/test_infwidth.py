@@ -173,6 +173,37 @@ def test_gd_evolve_returns_only_the_test_rows():
             gd_evolve(kp, tr, te, y, stop=EarlyStopPolicy([bad], np.zeros((1, 1))))
 
 
+def test_early_stop_policy_needs_validation_ids():
+    # With none, the first check would take a mean over nothing.
+    with pytest.raises(ValueError, match="at least one validation id"):
+        EarlyStopPolicy(validation_ids=[], validation_labels=np.zeros((0, 1)))
+
+
+def test_gd_evolve_never_steps_past_max_steps():
+    # The validation loss on the duplicated train points falls at every step,
+    # so each run ends at max_steps, which 100 does not divide: the last check
+    # covers the 50 steps left, and agrees with checks 50 steps apart.
+    kp, n_train, n_test, y = _with_dup_train(13)
+    tr = np.arange(n_train)
+    te = np.arange(n_train, n_train + n_test)
+    eta = 0.5 / np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
+    posts = [
+        gd_evolve(
+            kp, tr, te, y, eta=eta,
+            stop=_dup_train_policy(kp, n_train, n_test, y, check_every=every, max_steps=150),
+        )
+        for every in (100, 50)
+    ]
+    assert [p.steps_used for p in posts] == [150, 150]
+    np.testing.assert_allclose(posts[0].mean, posts[1].mean, rtol=1e-12)
+    np.testing.assert_allclose(posts[0].cov, posts[1].cov, rtol=1e-12, atol=1e-15)
+    short = gd_evolve(
+        kp, tr, te, y, eta=eta,
+        stop=_dup_train_policy(kp, n_train, n_test, y, check_every=100, max_steps=30),
+    )
+    assert short.steps_used == 30
+
+
 def test_eta_independence_of_limits():
     kp, n_train, n_test, y = _with_dup_train(8)
     tr = np.arange(n_train)
@@ -332,6 +363,15 @@ def test_posterior_jsonl_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.mean, post.mean)
     np.testing.assert_allclose(loaded.var, post.var)
     assert loaded.cov is None
+
+
+def test_posterior_jsonl_needs_one_id_per_test_point(tmp_path):
+    kp, tr, te, y = _random_instance(71, n_test=10)
+    post = closed_form_posterior(kp, tr, te, y)
+    path = tmp_path / "post.jsonl"
+    for ids in (te[:3], np.arange(11)):
+        with pytest.raises(ValueError, match="ids given for a posterior of 10 test points"):
+            save_posterior_jsonl(post, path, ids=ids)
 
 
 def test_posterior_jsonl_keeps_method_and_steps(tmp_path):
