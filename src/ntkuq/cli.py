@@ -2,6 +2,7 @@
 sweep run, fit, emit-plot."""
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -77,18 +78,8 @@ def _cmd_ensemble_run(args):
         max_epochs=args.max_epochs,
     )
     summary = run_ensemble(split, arch, cfg, args.members, args.seed)
-    print(
-        json.dumps(
-            {
-                "mu_L": summary.mu_L,
-                "var_L": summary.var_L,
-                "eps_L": summary.eps_L,
-                "eps_se": summary.eps_se,
-                "n_ok": summary.n_ok,
-                "n_diverged": summary.n_diverged,
-            }
-        )
-    )
+    fields = (f.name for f in dataclasses.fields(summary) if f.name != "records")
+    print(json.dumps({name: getattr(summary, name) for name in fields}))
 
 
 def _cmd_sweep_run(args):

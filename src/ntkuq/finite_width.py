@@ -6,13 +6,16 @@ kernel statistics at initialization and follow the linearized GD
 dynamics during training.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 import math
+import os
 
 import numpy as np
 from scipy.special import erf
 
 from .errors import DivergenceError
+from .infwidth import _one_blas_thread
 from .kernels import _point_rows, label_matrix
 from .loss_stats import _eps
 
@@ -323,23 +326,44 @@ def _sample_eps(losses):
     return _eps(losses.mean(), losses.var(ddof=1))
 
 
+def _usable_cores():
+    """The cores this process may run on; os.cpu_count() where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_ensemble(split, arch, cfg, n_members, base_seed):
     """Train n_members networks differing only in their init seed.
 
     Every member trains with eta / max(arch.lambda_b, 1), because Theta, and
-    with it the largest stable step, scales with lambda_b. Returns
-    per-member records, the sample mean/variance of the final test losses
-    and eps, the SE of the mean and the jackknife SEs of std and eps.
-    Diverged members are kept in the records but excluded from moments.
+    with it the largest stable step, scales with lambda_b. Members train
+    concurrently, one per usable core, each on one BLAS thread. They share
+    no mutable state, so every record is bit-identical to training the
+    members one after another, and erf releases the GIL, so they overlap. Returns
+    per-member records in seed order, the sample mean/variance of the final
+    test losses and eps, the SE of the mean and the jackknife SEs of std and
+    eps. Diverged members are kept in the records but excluded from moments.
+    A member's exception propagates once the running members finish; the
+    members not yet started are cancelled.
     """
     if n_members < 2:
         raise ValueError("an ensemble needs at least 2 members")
     cfg = replace(cfg, eta=cfg.eta / max(arch.lambda_b, 1.0))
-    records = []
-    for i in range(n_members):
-        seed = base_seed + i
-        net = init_network(arch, seed)
-        records.append(train_with_early_stopping(net, split, arch, replace(cfg, seed=seed)))
+
+    def member(seed):
+        return train_with_early_stopping(
+            init_network(arch, seed), split, arch, replace(cfg, seed=seed)
+        )
+
+    seeds = range(base_seed, base_seed + n_members)
+    with _one_blas_thread():
+        pool = ThreadPoolExecutor(max_workers=min(n_members, _usable_cores()))
+        try:
+            records = list(pool.map(member, seeds))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     ok = np.array(
         [r.final_test_loss for r in records if r.stop_reason != "divergence"]

@@ -107,6 +107,8 @@ class EarlyStopPolicy:
         object.__setattr__(self, "validation_labels", labels)
         if self.patience < 1 or self.check_every < 1:
             raise ValueError("patience and check_every must be >= 1")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
 
 
 def _as_range(ids, n):
@@ -177,8 +179,9 @@ def _one_blas_thread():
     # threads, 3 threads share 2 cores; one thread per pool is faster. It also
     # keeps the solve's bits independent of the thread count, which at some
     # shapes changes how OpenBLAS rounds a GEMM. The count is process-wide:
-    # ntkuq calls BLAS from one thread only, so only a concurrent caller's BLAS
-    # calls would also run on one thread meanwhile.
+    # finite_width.run_ensemble's pool threads run inside the context too, and
+    # no posterior solve overlaps them, so only a concurrent caller's BLAS calls
+    # would also run on one thread meanwhile.
     pools = _openblas_pools()
     saved = [get() for get, _ in pools]
     for _, set_ in pools:

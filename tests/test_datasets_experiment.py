@@ -834,6 +834,10 @@ def test_cli_ensemble_run(capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["n_ok"] == 3
     assert rec["mu_L"] > 0
+    # Every EnsembleSummary field but the member records, the SEs included.
+    assert list(rec) == [
+        "mu_L", "var_L", "eps_L", "eps_se", "mu_se", "sigma_se", "n_ok", "n_diverged"
+    ]
 
 
 def _cli_idx_ensemble(tmp_path, *extra):

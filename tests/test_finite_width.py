@@ -1,5 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
 import copy
 from dataclasses import replace
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +23,9 @@ from ntkuq import (
     train_with_early_stopping,
 )
 from ntkuq import finite_width
+from ntkuq.errors import DivergenceError
 from ntkuq.finite_width import EnsembleRunRecord, _gradients
+from ntkuq.infwidth import _openblas_pools
 
 
 def _small_arch(depth=3, width=8, d=4, n_out=2):
@@ -431,6 +437,179 @@ def test_ensemble_requires_two_members():
     split = _split(np.random.default_rng(19), arch)
     with pytest.raises(ValueError):
         run_ensemble(split, arch, TrainConfig(eta=0.1), 1, base_seed=0)
+
+
+def _pool_workers(monkeypatch, cores):
+    """Let run_ensemble see `cores` usable cores; returns the worker counts of its pools.
+
+    Only the os attribute is patched: the process's real affinity is unchanged.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    made = []
+
+    def pool(max_workers):
+        made.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(finite_width, "ThreadPoolExecutor", pool)
+    return made
+
+
+_ENSEMBLES = {
+    # every member runs to max_epochs
+    "gd": (
+        _small_arch(depth=2, width=16, n_out=1), 40,
+        TrainConfig(eta=1.0, max_epochs=60, patience=61), ["max_epochs"] * 4,
+    ),
+    # members 1 and 3 diverge; 0 and 2 run to max_epochs
+    "diverged": (
+        _small_arch(depth=2, width=16, n_out=1), 40,
+        TrainConfig(eta=1.8, max_epochs=200, patience=201),
+        ["max_epochs", "divergence"] * 2,
+    ),
+    # members stop on patience at epochs 10, 34, 30 and 13
+    "patience": (
+        _small_arch(width=16), 43, TrainConfig(eta=0.1, max_epochs=3000, patience=5),
+        ["patience"] * 4,
+    ),
+    "adam": (
+        _small_arch(width=16), 43,
+        TrainConfig(eta=0.05, optimizer="adam", minibatch=4, max_epochs=30, patience=5),
+        ["patience"] * 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("name", sorted(_ENSEMBLES))
+def test_ensemble_pool_records_equal_serial_training(monkeypatch, name, cores):
+    arch, split_seed, cfg, stop_reasons = _ENSEMBLES[name]
+    split = _split(np.random.default_rng(split_seed), arch)
+    serial = [
+        train_with_early_stopping(init_network(arch, s), split, arch, replace(cfg, seed=s))
+        for s in range(7, 11)
+    ]
+    made = _pool_workers(monkeypatch, cores)
+    got = run_ensemble(split, arch, cfg, 4, base_seed=7)
+    assert made == [cores]
+    assert [r.stop_reason for r in got.records] == stop_reasons
+    if name == "patience":
+        assert len({r.epochs_run for r in got.records}) == 4
+    # repr round-trips every float, so this is == that also holds for NaN
+    assert repr(got.records) == repr(serial)
+
+
+def test_ensemble_pool_under_thread_switching_stress(monkeypatch):
+    # More workers than cores, switching threads every few microseconds: a
+    # member that read another's state would change its record.
+    arch, split_seed, cfg, _ = _ENSEMBLES["patience"]
+    split = _split(np.random.default_rng(split_seed), arch)
+    serial = [
+        train_with_early_stopping(init_network(arch, s), split, arch, replace(cfg, seed=s))
+        for s in range(8)
+    ]
+    made = _pool_workers(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = run_ensemble(split, arch, cfg, 8, base_seed=0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert made == [8]
+    assert repr(got.records) == repr(serial)
+
+
+def test_ensemble_pool_takes_the_cpu_count_without_affinity(monkeypatch):
+    arch = _small_arch(depth=2, width=8, n_out=1)
+    split = _split(np.random.default_rng(25), arch)
+    made = _pool_workers(monkeypatch, 1)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = TrainConfig(eta=0.1, max_epochs=2)
+    run_ensemble(split, arch, cfg, 4, base_seed=0)
+    run_ensemble(split, arch, cfg, 2, base_seed=0)
+    assert made == [3, 2]
+
+
+def test_ensemble_records_come_back_in_seed_order(monkeypatch):
+    # Member 0 waits until member 1 has finished, so the pool finishes them
+    # out of seed order; the records still come back in seed order.
+    _pool_workers(monkeypatch, 2)
+    train = finite_width.train_with_early_stopping
+    one_done = threading.Event()
+    finished = []
+
+    def member(net, split, arch, cfg):
+        if cfg.seed == 0:
+            assert one_done.wait(timeout=60)
+        rec = train(net, split, arch, cfg)
+        finished.append(cfg.seed)
+        if cfg.seed == 1:
+            one_done.set()
+        return rec
+
+    monkeypatch.setattr(finite_width, "train_with_early_stopping", member)
+    arch = _small_arch(depth=2, width=8, n_out=1)
+    split = _split(np.random.default_rng(26), arch)
+    got = run_ensemble(split, arch, TrainConfig(eta=0.1, max_epochs=5), 3, base_seed=0)
+    assert finished.index(1) < finished.index(0)
+    assert [r.seed for r in got.records] == [0, 1, 2]
+
+
+def test_ensemble_member_exception_propagates_and_cancels_the_rest(monkeypatch):
+    _pool_workers(monkeypatch, 1)
+    started = []
+
+    def member(net, split, arch, cfg):
+        started.append(cfg.seed)
+        if cfg.seed == 0:
+            raise DivergenceError("member 0 failed")
+        threading.Event().wait(0.1)
+        return EnsembleRunRecord(cfg.seed, 1.0, 1.0, 1, "max_epochs")
+
+    monkeypatch.setattr(finite_width, "train_with_early_stopping", member)
+    arch = _small_arch(depth=2, width=8, n_out=1)
+    split = _split(np.random.default_rng(27), arch)
+    threads = threading.active_count()
+    with pytest.raises(DivergenceError, match="member 0 failed"):
+        run_ensemble(split, arch, TrainConfig(eta=0.1), 8, base_seed=0)
+    # The members not yet started were cancelled, and no pool thread outlives the call.
+    assert started[0] == 0 and len(started) < 8
+    assert threading.active_count() == threads
+
+
+def test_ensemble_members_train_on_one_blas_thread(monkeypatch):
+    pools = _openblas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS thread pool in this process")
+    _pool_workers(monkeypatch, 2)
+    train = finite_width.train_with_early_stopping
+    seen = []
+
+    def member(net, split, arch, cfg):
+        seen.append([get() for get, _ in pools])
+        if cfg.seed == 3:
+            raise DivergenceError("member 3 failed")
+        return train(net, split, arch, cfg)
+
+    monkeypatch.setattr(finite_width, "train_with_early_stopping", member)
+    arch = _small_arch(depth=2, width=8, n_out=1)
+    split = _split(np.random.default_rng(28), arch)
+    cfg = TrainConfig(eta=0.1, max_epochs=3)
+    saved = [get() for get, _ in pools]
+    try:
+        for _, set_ in pools:
+            set_(2)
+        run_ensemble(split, arch, cfg, 3, base_seed=0)
+        assert [get() for get, _ in pools] == [2] * len(pools)
+        # A member raises inside the context; the counts still come back.
+        with pytest.raises(DivergenceError):
+            run_ensemble(split, arch, cfg, 4, base_seed=0)
+        assert [get() for get, _ in pools] == [2] * len(pools)
+    finally:
+        for (_, set_), n in zip(pools, saved):
+            set_(n)
+    assert len(seen) >= 4 and all(counts == [1] * len(pools) for counts in seen)
 
 
 def test_forward_rejects_inputs_that_are_not_2d():

@@ -179,6 +179,18 @@ def test_early_stop_policy_needs_validation_ids():
         EarlyStopPolicy(validation_ids=[], validation_labels=np.zeros((0, 1)))
 
 
+def test_early_stop_policy_rejects_negative_max_steps():
+    # Before the check, max_steps=-5 returned the prior (cov K_BB, 0 steps) as
+    # the "iterative" posterior. Zero steps still asks for the prior.
+    kp, tr, te, y = _random_instance(31, n_train=8, n_test=4)
+    va = te[:2]
+    with pytest.raises(ValueError, match="max_steps must be >= 0"):
+        EarlyStopPolicy(va, np.zeros((2, 1)), max_steps=-5)
+    prior = gd_evolve(kp, tr, te, y, eta=0.1, stop=EarlyStopPolicy(va, np.zeros((2, 1)), max_steps=0))
+    assert prior.steps_used == 0 and not prior.mean.any()
+    assert np.array_equal(prior.cov, kp.K[np.ix_(te, te)])
+
+
 def test_gd_evolve_never_steps_past_max_steps():
     # The validation loss on the duplicated train points falls at every step,
     # so each run ends at max_steps, which 100 does not divide: the last check
