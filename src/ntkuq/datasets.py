@@ -109,6 +109,8 @@ def load_idx(images_path, labels_path):
 
     if label_count != count:
         raise ValueError("image count %d != label count %d" % (count, label_count))
+    if digits.size and digits.max() > 9:
+        raise ValueError("label byte %d is not a digit 0-9" % digits.max())
     onehot = np.zeros((count, 10))
     onehot[np.arange(count), digits] = 1.0
     return Dataset(
@@ -234,6 +236,8 @@ def dataset_from_spec(given, **defaults):
 
 def split_ids(dataset, seed, n_test, n_val, n_train):
     """(test, validation, pool) rows of one seeded permutation; the pool holds >= n_train."""
+    if min(n_test, n_val, n_train) < 1:
+        raise ValueError("n_test, n_val and n_train must be >= 1")
     needed = n_test + n_val + n_train
     if needed > dataset.count:
         raise ValueError("split needs %d points but dataset has %d" % (needed, dataset.count))

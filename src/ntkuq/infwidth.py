@@ -193,8 +193,8 @@ def _one_blas_thread():
             set_(n)
 
 
-def _factor(M_A, name):
-    """(ldl, ipiv), the dsytrf factor of M_A that scipy.linalg.solve(assume_a="sym") makes.
+def _solve(M_A, rhs, name):
+    """M_A^-1 rhs in C order, on the dsytrf factor scipy.linalg.solve(assume_a="sym") makes.
 
     IllConditionedError unless M_A is finite and LAPACK's 1-norm reciprocal
     condition estimate on the factor is >= RCOND_LIMIT. Call inside _one_blas_thread.
@@ -214,41 +214,43 @@ def _factor(M_A, name):
             "%s 1-norm reciprocal condition estimate %.3g below %g; use the iterative GD path"
             % (name, rcond, RCOND_LIMIT)
         )
-    return ldl, ipiv
-
-
-def _posterior_from_blocks(M_A, M_B, K_A, K_B, K_BB, y, name, method):
-    with _one_blas_thread():
-        # The factor is freed when dsytrs returns, before T is copied to C
-        # order: the order scipy.linalg.solve returns, which keeps the GEMMs' bits.
-        T = lapack.dsytrs(*_factor(M_A, name), M_B)[0]
-        T = np.ascontiguousarray(T)
-        mean = T.T @ y
-        cov = K_BB - T.T @ K_B - K_B.T @ T + T.T @ K_A @ T
-    cov = 0.5 * (cov + cov.T)
-    return PredictivePosterior(mean=mean, cov=cov, method=method, steps_used=0)
+    T = lapack.dsytrs(ldl, ipiv, rhs)[0]
+    # Free the factor before T is copied to C order: the order scipy.linalg.solve
+    # returns, which keeps the callers' GEMMs' bits.
+    del ldl
+    return np.ascontiguousarray(T)
 
 
 def closed_form_posterior(kp, train_ids, test_ids, labels):
     """Closed-form limit of infinitely many GD steps (independent of eta).
 
-    mean = Theta_B^T Theta_A^{-1} y; cov is the four-term expression
-    combining kernel and NTK blocks.
+    With T = Theta_A^{-1} Theta_B: mean = T^T y and the four-term
+    cov = K_BB - T^T K_B - K_B^T T + T^T K_A T.
     """
     Th_A, Th_B, K_A, K_B, K_BB = _blocks(kp, kp.Theta, train_ids, test_ids)
     y = label_matrix(labels, Th_A.shape[0])
-    return _posterior_from_blocks(Th_A, Th_B, K_A, K_B, K_BB, y, "Theta_A", "closed_form")
+    with _one_blas_thread():
+        T = _solve(Th_A, Th_B, "Theta_A")
+        mean = T.T @ y
+        X = T.T @ K_B
+        cov = K_BB - X - X.T + T.T @ K_A @ T
+    return PredictivePosterior(mean=mean, cov=0.5 * (cov + cov.T), method="closed_form")
 
 
 def bayesian_posterior(kp, train_ids, test_ids, labels):
     """Bayesian (last-layer-training) posterior: NTK replaced by the kernel.
 
-    Substituting Theta -> K in the GD formulas reduces algebraically to
-    the usual GP conditional, computed here in the substituted form.
+    Substituting Theta -> K in the closed form cancels two of its covariance
+    terms and leaves the GP conditional: with T = K_A^{-1} K_B, mean = T^T y
+    and cov = K_BB - K_B^T T.
     """
     _, _, K_A, K_B, K_BB = _blocks(kp, kp.K, train_ids, test_ids)
     y = label_matrix(labels, K_A.shape[0])
-    return _posterior_from_blocks(K_A, K_B, K_A, K_B, K_BB, y, "K_A", "bayesian")
+    with _one_blas_thread():
+        T = _solve(K_A, K_B, "K_A")
+        mean = T.T @ y
+        cov = K_BB - K_B.T @ T
+    return PredictivePosterior(mean=mean, cov=0.5 * (cov + cov.T), method="bayesian")
 
 
 def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, stop):
@@ -281,7 +283,7 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, stop):
     if eta is None:
         lam_max = float(np.max(np.linalg.eigvalsh(Theta_joint[:n_train, :n_train])))
         eta = 1.0 / lam_max
-    if eta < 0:
+    if not eta >= 0:  # NaN fails it too
         raise ValueError("eta must be >= 0")
 
     # One GD step: z <- M z + c with M = I - eta * Theta[:, A], acting on

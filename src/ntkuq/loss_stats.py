@@ -22,7 +22,7 @@ __all__ = [
     "loss_stats",
 ]
 
-_VAR_CLAMP = 1e-12
+_VAR_RTOL = 1e-12  # round-off in E[L^2] - mu_L^2, relative to E[L^2]
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def _moments(post, labels):
     mu = _mean_loss(post.var, delta)
     var = e_l2 - mu * mu
     if var < 0:
-        if var < -_VAR_CLAMP:
+        if var < -_VAR_RTOL * e_l2:
             raise ValueError("loss variance %g below round-off tolerance" % var)
         var = 0.0
     return mu, float(var)

@@ -3,10 +3,9 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import IllConditionedError
-from .infwidth import _blocks, _factor, _one_blas_thread
+from .infwidth import _blocks, _one_blas_thread, _solve
 
 __all__ = [
     "ScalingFit",
@@ -98,8 +97,8 @@ def matrix_element_scan(builder, sizes):
     """Mean |element| of the kernel/NTK blocks across training-set sizes.
 
     builder(n_d) must return (KernelPair, train_ids, test_ids) for that
-    size. The train NTK Theta_A is inverted on the closed-form posterior's
-    gated factor, so the sizes excluded and reported are exactly those the
+    size. The train NTK Theta_A is inverted by the closed-form posterior's
+    gated solve, so the sizes excluded and reported are exactly those the
     posterior rejects (reciprocal condition estimate below RCOND_LIMIT).
     Exponents are fitted when >= 3 sizes survive.
     """
@@ -115,16 +114,13 @@ def matrix_element_scan(builder, sizes):
     for n_d in sizes:
         kp, train_ids, test_ids = builder(n_d)
         Th_A, Th_B, K_A, _, _ = _blocks(kp, kp.Theta, train_ids, test_ids)
+        n_train = Th_A.shape[0]
         try:
             with _one_blas_thread():
-                # dsytrf's info == 0, which _factor requires, rules out dsytri's info > 0.
-                inv = lapack.dsytri(*_factor(Th_A, "Theta_A"))[0]
+                inv = _solve(Th_A, np.eye(n_train), "Theta_A")
         except IllConditionedError:
             excluded.append(n_d)
             continue
-        # dsytri writes the upper triangle of the inverse only.
-        inv = np.triu(inv) + np.triu(inv, 1).T
-        n_train = Th_A.shape[0]
         off_mask = ~np.eye(n_train, dtype=bool)
         stats["theta_test_train"][n_d] = _mean_abs(Th_B)
         stats["kernel_train"][n_d] = _mean_abs(K_A)

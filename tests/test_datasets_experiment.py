@@ -86,6 +86,18 @@ def test_idx_count_mismatch(tmp_path):
         load_idx(img_path, lab2)
 
 
+def test_idx_rejects_label_bytes_above_9(tmp_path, capsys):
+    images = np.zeros((3, 2, 2), dtype=np.uint8)
+    img_path, lab_path = _write_idx(tmp_path, images, [0, 12, 9])
+    with pytest.raises(ValueError, match="label byte 12 is not a digit 0-9"):
+        load_idx(img_path, lab_path)
+    args = ["ensemble", "run", "--idx-images", str(img_path), "--idx-labels", str(lab_path)]
+    assert cli_main(args + ["--depth", "2", "--width", "8", "--members", "2"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "label byte 12 is not a digit 0-9"
+    }
+
+
 def test_event_vectors_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     X = rng.standard_normal((7, 4))
@@ -838,6 +850,24 @@ def test_cli_ensemble_run(capsys):
     assert list(rec) == [
         "mu_L", "var_L", "eps_L", "eps_se", "mu_se", "sigma_se", "n_ok", "n_diverged"
     ]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--train-size", "0"), ("--val-size", "0"), ("--test-size", "0"), ("--test-size", "-5")],
+)
+def test_cli_ensemble_run_rejects_split_sizes_below_1(capsys, flag, value):
+    # Before, these ran: NaN statistics, NaN validation losses, or (at -5) test
+    # rows overlapping the validation and training rows.
+    args = ["ensemble", "run", "--n-points", "40", "--input-dim", "3", "--depth", "2",
+            "--width", "8", "--members", "2", "--max-epochs", "5", "--train-size", "8",
+            "--val-size", "4", "--test-size", "8"]
+    assert cli_main(args + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError", "message": "n_test, n_val and n_train must be >= 1"
+    }
 
 
 def _cli_idx_ensemble(tmp_path, *extra):

@@ -26,7 +26,7 @@ from ntkuq import (
 )
 from ntkuq import infwidth
 from ntkuq.errors import DivergenceError
-from ntkuq.infwidth import RCOND_LIMIT, _one_blas_thread, _openblas_pools, _posterior_from_blocks
+from ntkuq.infwidth import RCOND_LIMIT, _one_blas_thread, _openblas_pools, _solve
 
 from oracles import gd_map_limit
 
@@ -136,6 +136,15 @@ def test_gd_evolve_eta_zero_identity():
     post = gd_evolve(kp, tr, te, y, eta=0.0, stop=pol)
     np.testing.assert_array_equal(post.mean, np.zeros((te.size, 1)))
     np.testing.assert_array_equal(post.cov, kp.K[np.ix_(te, te)])
+
+
+def test_gd_evolve_rejects_negative_and_nan_eta():
+    # A NaN step used to pass "eta < 0" and surface as a DivergenceError.
+    kp, tr, te, y = _random_instance(6)
+    pol = EarlyStopPolicy(validation_ids=te, validation_labels=np.zeros((te.size, 1)))
+    for eta in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            gd_evolve(kp, tr, te, y, eta=eta, stop=pol)
 
 
 def test_gd_evolve_divergence_detected():
@@ -255,9 +264,8 @@ def _with_spectrum(rcond, seed, n=12):
 
 def _check_conditioning(A, name):
     # The gate alone: a zero right-hand side makes the rest of the solve trivial.
-    n = A.shape[0]
-    zero = np.zeros((n, 1))
-    _posterior_from_blocks(A, zero, A, zero, np.zeros((1, 1)), zero, name, "closed_form")
+    with _one_blas_thread():
+        _solve(A, np.zeros((A.shape[0], 1)), name)
 
 
 def _norm_1(A):
@@ -533,36 +541,38 @@ def test_posterior_bits_do_not_depend_on_blas_threads(monkeypatch):
 def test_posterior_bits_match_the_symmetric_solve():
     # The gate and the solve share the factor scipy.linalg.solve(assume_a="sym")
     # computes (upper triangle, blocked workspace), so every bit of the posterior
-    # matches the four-term formula on that solve. The lower triangle or the
-    # unblocked factor round differently at this size.
+    # matches each route's formula on that solve: the four-term covariance for
+    # the closed form and the GP conditional for the Bayesian route. The lower
+    # triangle or the unblocked factor round differently at this size.
     import scipy.linalg
 
     kp, tr, te, y = _random_instance(90, n_train=150, n_test=150, d=24, depth=3, n_out=2)
     K_A, K_B, K_BB = kp.K[np.ix_(tr, tr)], kp.K[np.ix_(tr, te)], kp.K[np.ix_(te, te)]
-    for route, M in ((closed_form_posterior, kp.Theta), (bayesian_posterior, kp.K)):
-        with _one_blas_thread():
-            T = scipy.linalg.solve(M[np.ix_(tr, tr)], M[np.ix_(tr, te)], assume_a="sym")
-            mean = T.T @ y
-            cov = K_BB - T.T @ K_B - K_B.T @ T + T.T @ K_A @ T
+    with _one_blas_thread():
+        T = scipy.linalg.solve(kp.Theta[np.ix_(tr, tr)], kp.Theta[np.ix_(tr, te)], assume_a="sym")
+        closed = (T.T @ y, K_BB - T.T @ K_B - K_B.T @ T + T.T @ K_A @ T)
+        T = scipy.linalg.solve(K_A, K_B, assume_a="sym")
+        bayes = (T.T @ y, K_BB - K_B.T @ T)
+    for route, (mean, cov) in ((closed_form_posterior, closed), (bayesian_posterior, bayes)):
         want = PredictivePosterior(mean=mean, cov=0.5 * (cov + cov.T), method="x")
         got = route(kp, tr, te, y)
         assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
 
 
-def test_contiguous_ids_read_views_with_the_bits_of_copies():
+def test_contiguous_ids_read_views_with_the_bits_of_copies(monkeypatch):
     # run_plan's ids are ascending ranges: the blocks are views of kp, and
-    # both routes give the bits of the same solve on explicit np.ix_ copies.
+    # both routes give the bits of the same route on explicit np.ix_ copies.
     kp, tr, te, y = _random_instance(91, n_train=120, n_test=40, d=12, depth=3, n_out=2)
-    for route, M, name in (
-        (closed_form_posterior, kp.Theta, "Theta_A"),
-        (bayesian_posterior, kp.K, "K_A"),
-    ):
+    for route, M in ((closed_form_posterior, kp.Theta), (bayesian_posterior, kp.K)):
         blocks = infwidth._blocks(kp, M, tr, te)
         assert all(np.shares_memory(b, kp.K) or np.shares_memory(b, kp.Theta) for b in blocks)
+        got = route(kp, tr, te, y)
         copies = (M[np.ix_(tr, tr)], M[np.ix_(tr, te)], kp.K[np.ix_(tr, tr)],
                   kp.K[np.ix_(tr, te)], kp.K[np.ix_(te, te)])
-        want = _posterior_from_blocks(*copies, y, name, "x")
-        got = route(kp, tr, te, y)
+        with monkeypatch.context() as m:
+            m.setattr(infwidth, "_blocks", lambda *args: copies)
+            want = route(kp, tr, te, y)
+        assert not any(np.shares_memory(b, kp.K) or np.shares_memory(b, kp.Theta) for b in copies)
         assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
 
 

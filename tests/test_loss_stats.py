@@ -136,6 +136,28 @@ def test_nonnegativity_random_instances():
         assert loss_variance(post, labels) >= 0.0
 
 
+def test_zero_covariance_gives_zero_variance_at_any_label_scale():
+    # E[L^2] - mu_L^2 cancels to round-off that grows with the loss. An absolute
+    # tolerance raised on about a quarter of these draws at scale 100 and above.
+    rng = np.random.default_rng(0)
+    for n_test in (3, 5, 12):
+        post = _posterior(np.zeros((n_test, 1)), np.zeros((n_test, n_test)))
+        for scale in (1.0, 10.0, 100.0, 1e4):
+            for _ in range(200):
+                stats = loss_stats(post, scale * rng.standard_normal((n_test, 1)))
+                assert 0.0 <= stats.var_L <= 1e-12 * stats.mu_L**2
+
+
+def test_negative_loss_variance_raises_at_any_scale():
+    # A non-PSD covariance can make the true var_L negative: here -0.75 s^2.
+    # At s = 1e-6 an absolute tolerance clamped it to 0.
+    for s in (1.0, 1e-3, 1e-6):
+        post = _posterior(np.zeros((2, 1)), s * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        labels = np.sqrt(s) * np.array([[2.0], [-2.0]])
+        with pytest.raises(ValueError, match="below round-off tolerance"):
+            loss_stats(post, labels)
+
+
 def test_variance_requires_full_covariance():
     post = PredictivePosterior(mean=np.zeros((2, 1)), cov=None, method="closed_form", var=np.ones(2))
     with pytest.raises(ValueError):
