@@ -154,7 +154,7 @@ def load_event_vectors(path, energy_min, energy_max):
 def save_event_vectors(path, inputs, energies):
     """Write the flat event-vector binary layout read by load_event_vectors."""
     X = _point_rows(inputs)
-    energies = np.asarray(energies, dtype=float).ravel()
+    energies = label_matrix(energies, X.shape[0], 1)
     with open(path, "wb") as f:
         f.write(struct.pack("<QQ", X.shape[0], X.shape[1]))
         f.write(np.ascontiguousarray(np.column_stack([X, energies]), dtype="<f8").tobytes())

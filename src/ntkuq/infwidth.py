@@ -41,7 +41,8 @@ class PredictivePosterior:
     mean has one row per test point and one column per output neuron; cov
     is shared across output columns and cross-output covariance is exactly
     zero. A diagonal-only posterior gives var (the per-point variances) and
-    cov=None; otherwise var is the diagonal of cov. Give exactly one.
+    cov=None; otherwise var is the diagonal of cov. Give exactly one. cov
+    must be finite and positive semi-definite to round-off.
     """
 
     mean: np.ndarray
@@ -69,6 +70,15 @@ class PredictivePosterior:
             if np.any(neg):
                 cov = cov.copy()
                 cov[np.diag_indices_from(cov)] = np.where(neg, 0.0, d)
+            # PSD to round-off: dpotrf factors cov + delta I in place, on one BLAS
+            # thread so that no idle pool worker spins into the next stage.
+            delta = max(1e-9 * d.max(initial=0.0), VAR_CLAMP)
+            ridged = np.array(cov, order="F")
+            ridged[np.diag_indices_from(ridged)] += delta
+            with _one_blas_thread():
+                info = lapack.dpotrf(ridged, overwrite_a=1, clean=0)[1]
+            if info or not np.all(np.isfinite(cov)):
+                raise ValueError("cov is not finite and positive semi-definite (to %g)" % delta)
             cov.setflags(write=False)
             object.__setattr__(self, "cov", cov)
             var = np.diag(cov)
@@ -111,35 +121,25 @@ class EarlyStopPolicy:
             raise ValueError("max_steps must be >= 0")
 
 
-def _as_range(ids, n):
-    """ids as a slice when they are an ascending contiguous range in [0, n), else None.
-
-    Other ids, negative or out-of-bounds ones included, keep np.ix_'s meaning.
-    """
-    if ids.size and 0 <= ids[0] and ids[-1] < n and np.all(np.diff(ids) == 1):
-        return slice(int(ids[0]), int(ids[-1]) + 1)
-    return None
+def _rows(ids, kp, name):
+    """ids as a 1-D int array of rows of kp; ValueError for any id outside [0, kp.count)."""
+    ids = np.asarray(ids, dtype=int)
+    if ids.ndim != 1 or np.any(ids < 0) or np.any(ids >= kp.count):
+        raise ValueError("%s must be rows of the %d-point kernel" % (name, kp.count))
+    return ids
 
 
-def _blocks(kp, M, train_ids, test_ids):
-    """(M_A, M_B, K_A, K_B, K_BB) for the matrix M a route solves (Theta or K).
+def _block(M, rows, cols):
+    """M[rows, cols] for _rows ids: a view (read-only, as kp's matrices are) when
+    rows and cols are each an ascending contiguous range, as run_plan's are,
+    else an np.ix_ copy."""
+    def span(ids):
+        if ids.size and np.all(np.diff(ids) == 1):
+            return slice(ids[0], ids[-1] + 1)
+        return None
 
-    When train_ids and test_ids are each an ascending contiguous range, as
-    run_plan's are, the blocks are read-only views of kp's matrices;
-    otherwise they are np.ix_ copies. When M is kp.K its blocks are the K
-    blocks, so nothing is taken twice.
-    """
-    tr = np.asarray(train_ids, dtype=int)
-    te = np.asarray(test_ids, dtype=int)
-    rows, cols = _as_range(tr, kp.count), _as_range(te, kp.count)
-    if rows is None or cols is None:
-        index = np.ix_
-    else:
-        tr, te, index = rows, cols, lambda a, b: (a, b)
-    K_A = kp.K[index(tr, tr)]
-    K_B = kp.K[index(tr, te)]
-    M_A, M_B = (K_A, K_B) if M is kp.K else (M[index(tr, tr)], M[index(tr, te)])
-    return M_A, M_B, K_A, K_B, kp.K[index(te, te)]
+    r, c = span(rows), span(cols)
+    return M[np.ix_(rows, cols)] if r is None or c is None else M[r, c]
 
 
 @functools.cache
@@ -227,13 +227,14 @@ def closed_form_posterior(kp, train_ids, test_ids, labels):
     With T = Theta_A^{-1} Theta_B: mean = T^T y and the four-term
     cov = K_BB - T^T K_B - K_B^T T + T^T K_A T.
     """
-    Th_A, Th_B, K_A, K_B, K_BB = _blocks(kp, kp.Theta, train_ids, test_ids)
-    y = label_matrix(labels, Th_A.shape[0])
+    tr, te = _rows(train_ids, kp, "train ids"), _rows(test_ids, kp, "test ids")
+    K_A, K_B = _block(kp.K, tr, tr), _block(kp.K, tr, te)
+    y = label_matrix(labels, tr.size)
     with _one_blas_thread():
-        T = _solve(Th_A, Th_B, "Theta_A")
+        T = _solve(_block(kp.Theta, tr, tr), _block(kp.Theta, tr, te), "Theta_A")
         mean = T.T @ y
         X = T.T @ K_B
-        cov = K_BB - X - X.T + T.T @ K_A @ T
+        cov = _block(kp.K, te, te) - X - X.T + T.T @ K_A @ T
     return PredictivePosterior(mean=mean, cov=0.5 * (cov + cov.T), method="closed_form")
 
 
@@ -244,12 +245,13 @@ def bayesian_posterior(kp, train_ids, test_ids, labels):
     terms and leaves the GP conditional: with T = K_A^{-1} K_B, mean = T^T y
     and cov = K_BB - K_B^T T.
     """
-    _, _, K_A, K_B, K_BB = _blocks(kp, kp.K, train_ids, test_ids)
-    y = label_matrix(labels, K_A.shape[0])
+    tr, te = _rows(train_ids, kp, "train ids"), _rows(test_ids, kp, "test ids")
+    K_B = _block(kp.K, tr, te)
+    y = label_matrix(labels, tr.size)
     with _one_blas_thread():
-        T = _solve(K_A, K_B, "K_A")
+        T = _solve(_block(kp.K, tr, tr), K_B, "K_A")
         mean = T.T @ y
-        cov = K_BB - K_B.T @ T
+        cov = _block(kp.K, te, te) - K_B.T @ T
     return PredictivePosterior(mean=mean, cov=0.5 * (cov + cov.T), method="bayesian")
 
 
@@ -261,13 +263,11 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, stop):
     z <- z - eta * Theta[:, A] (z_A - y) jointly; the covariance is
     conjugated by the linear part. Stops on the early-stop policy and
     returns the posterior over test_ids only, at the best-validation step.
-    eta defaults to 1 / lambda_max(Theta_A).
+    eta defaults to 1 / lambda_max(Theta_A). The map reads only Theta's train
+    columns, Theta[joint, train], and the prior K[joint, joint].
     """
-    tr = np.asarray(train_ids, dtype=int)
-    te = np.asarray(test_ids, dtype=int)
-    va = stop.validation_ids
-    if np.any(va < 0) or np.any(va >= kp.count):
-        raise ValueError("validation ids must be rows of the %d-point kernel" % kp.count)
+    tr, te = _rows(train_ids, kp, "train ids"), _rows(test_ids, kp, "test ids")
+    va = _rows(stop.validation_ids, kp, "validation ids")
     y = label_matrix(labels, tr.size)
     val_labels = stop.validation_labels
     if val_labels.shape[1] != y.shape[1]:
@@ -277,20 +277,18 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, stop):
     n_train = tr.size
     val_rows = slice(n_train, n_train + va.size)
     test_rows = slice(n_train + va.size, n)
-    Theta_joint = kp.Theta[np.ix_(joint, joint)]
-    K_joint = kp.K[np.ix_(joint, joint)]
+    Theta_jA = _block(kp.Theta, joint, tr)
 
     if eta is None:
-        lam_max = float(np.max(np.linalg.eigvalsh(Theta_joint[:n_train, :n_train])))
-        eta = 1.0 / lam_max
+        eta = 1.0 / float(np.max(np.linalg.eigvalsh(Theta_jA[:n_train])))
     if not eta >= 0:  # NaN fails it too
         raise ValueError("eta must be >= 0")
 
     # One GD step: z <- M z + c with M = I - eta * Theta[:, A], acting on
     # the train columns only.
     M = np.eye(n)
-    M[:, :n_train] -= eta * Theta_joint[:, :n_train]
-    c = eta * (Theta_joint[:, :n_train] @ y)
+    M[:, :n_train] -= eta * Theta_jA
+    c = eta * (Theta_jA @ y)
 
     # Compose check_every steps into a single affine map so each check
     # costs one matrix triple product; the dynamics are unchanged. When
@@ -306,7 +304,7 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, stop):
             tail_map = (A, b)
 
     mean = np.zeros((n, y.shape[1]))
-    cov = K_joint
+    cov = _block(kp.K, joint, joint)
 
     initial_val = _mean_loss(np.diag(cov)[val_rows], val_labels - mean[val_rows])
     best_val = initial_val

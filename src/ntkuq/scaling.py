@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IllConditionedError
-from .infwidth import _blocks, _one_blas_thread, _solve
+from .infwidth import _block, _one_blas_thread, _rows, _solve
 
 __all__ = [
     "ScalingFit",
@@ -57,13 +57,12 @@ def fit_power_law(points):
     slope_sigma = sqrt(s^2 / Sxx) with s^2 the residual variance at
     n - 2 degrees of freedom.
     """
-    pts = [(float(n), float(v)) for n, v in points]
+    pts = np.array([(float(n), float(v)) for n, v in points])
     if len(pts) < 3:
         raise ValueError("power-law fit needs at least 3 points")
-    ns = np.array([p[0] for p in pts])
-    vals = np.array([p[1] for p in pts])
-    if np.any(vals <= 0) or np.any(ns <= 0):
-        raise ValueError("power-law fit requires strictly positive sizes and values")
+    if not np.all(np.isfinite(pts) & (pts > 0)):
+        raise ValueError("power-law fit requires finite, strictly positive sizes and values")
+    ns, vals = pts.T
     if np.unique(ns).size != ns.size:
         raise ValueError("duplicate sizes in power-law fit")
 
@@ -113,17 +112,17 @@ def matrix_element_scan(builder, sizes):
     excluded = []
     for n_d in sizes:
         kp, train_ids, test_ids = builder(n_d)
-        Th_A, Th_B, K_A, _, _ = _blocks(kp, kp.Theta, train_ids, test_ids)
-        n_train = Th_A.shape[0]
+        tr, te = _rows(train_ids, kp, "train ids"), _rows(test_ids, kp, "test ids")
+        n_train = tr.size
         try:
             with _one_blas_thread():
-                inv = _solve(Th_A, np.eye(n_train), "Theta_A")
+                inv = _solve(_block(kp.Theta, tr, tr), np.eye(n_train), "Theta_A")
         except IllConditionedError:
             excluded.append(n_d)
             continue
         off_mask = ~np.eye(n_train, dtype=bool)
-        stats["theta_test_train"][n_d] = _mean_abs(Th_B)
-        stats["kernel_train"][n_d] = _mean_abs(K_A)
+        stats["theta_test_train"][n_d] = _mean_abs(_block(kp.Theta, tr, te))
+        stats["kernel_train"][n_d] = _mean_abs(_block(kp.K, tr, tr))
         stats["inv_theta"][n_d] = _mean_abs(inv)
         stats["inv_theta_diag"][n_d] = _mean_abs(np.diag(inv))
         stats["inv_theta_offdiag"][n_d] = (

@@ -133,6 +133,16 @@ def test_event_vectors_reject_inputs_that_are_not_2d(tmp_path):
     assert not path.exists()
 
 
+def test_event_vectors_check_the_energies_before_writing(tmp_path):
+    # One energy per event, as one column: no header-only file is left behind,
+    # and a (1, n) row is not flattened into a column.
+    path = tmp_path / "events.bin"
+    for energies in ([50.0, 60.0], [[50.0, 60.0, 70.0]]):
+        with pytest.raises(ValueError, match=r"does not match 3 points x 1 outputs"):
+            save_event_vectors(path, np.zeros((3, 2)), energies)
+        assert not path.exists()
+
+
 def test_make_synthetic_deterministic():
     arch = ArchitectureConfig(depth=2, input_dim=3, hidden_width=8)
     a = make_synthetic("teacher", 10, 3, seed=5, teacher_arch=arch)
@@ -963,6 +973,18 @@ def test_cli_fit_names_the_bad_cell(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err) == {
         "error": "ValueError",
         "message": "%s line 3, column value: 'x' is not a valid float" % fit_csv,
+    }
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_fit_rejects_non_finite_values(tmp_path, capsys, bad):
+    # Before, the fit printed NaN (not JSON) with r_squared 1.0 and exited 0.
+    fit_csv = tmp_path / "fitme.csv"
+    fit_csv.write_text("N_D,value\n10,1.0\n100,%s\n1000,0.1\n" % bad)
+    assert cli_main(["fit", "--input", str(fit_csv)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": "power-law fit requires finite, strictly positive sizes and values",
     }
 
 

@@ -21,10 +21,11 @@ from ntkuq import (
     init_network,
     load_posterior_jsonl,
     loss_stats,
+    matrix_element_scan,
     mse_loss,
     save_posterior_jsonl,
 )
-from ntkuq import infwidth
+from ntkuq import infwidth, scaling
 from ntkuq.errors import DivergenceError
 from ntkuq.infwidth import RCOND_LIMIT, _one_blas_thread, _openblas_pools, _solve
 
@@ -436,6 +437,21 @@ def test_posterior_negative_diag_clamped():
         PredictivePosterior(mean=np.zeros((2, 1)), cov=np.diag([1.0, -1e-3]), method="x")
 
 
+def test_posterior_rejects_a_covariance_that_is_not_psd():
+    # Eigenvalues 3 and -1: loss_stats used to report var_L = 1.25 on it.
+    with pytest.raises(ValueError, match="positive semi-definite"):
+        PredictivePosterior(mean=np.zeros((2, 1)), cov=[[1.0, 2.0], [2.0, 1.0]], method="x")
+    with pytest.raises(ValueError, match="finite"):
+        PredictivePosterior(mean=np.zeros((2, 1)), cov=[[1.0, np.nan], [np.nan, 1.0]], method="x")
+    # Round-off below the 1e-9-relative ridge passes: eigenvalues 2e3 and -1e-7.
+    e = 1e-7
+    cov = 1e3 * np.array([[1.0, 1.0], [1.0, 1.0]]) + e / 2 * np.array([[-1.0, 1.0], [1.0, -1.0]])
+    assert np.linalg.eigvalsh(cov)[0] == pytest.approx(-e, rel=1e-6)
+    PredictivePosterior(mean=np.zeros((2, 1)), cov=cov, method="x")
+    with pytest.raises(ValueError, match="positive semi-definite"):
+        PredictivePosterior(mean=np.zeros((2, 1)), cov=cov - 1e-5 * np.eye(2), method="x")
+
+
 def _label_consumers(n_out):
     """Every label or posterior-mean entry point, as f(Y) for 3 points x n_out."""
     X = np.random.default_rng(80).standard_normal((5, 4))
@@ -560,20 +576,40 @@ def test_posterior_bits_match_the_symmetric_solve():
 
 
 def test_contiguous_ids_read_views_with_the_bits_of_copies(monkeypatch):
-    # run_plan's ids are ascending ranges: the blocks are views of kp, and
-    # both routes give the bits of the same route on explicit np.ix_ copies.
+    # run_plan's ids are ascending ranges: every route reads views of kp, and
+    # gives the bits it gives on explicit np.ix_ copies of the same blocks.
     kp, tr, te, y = _random_instance(91, n_train=120, n_test=40, d=12, depth=3, n_out=2)
-    for route, M in ((closed_form_posterior, kp.Theta), (bayesian_posterior, kp.K)):
-        blocks = infwidth._blocks(kp, M, tr, te)
-        assert all(np.shares_memory(b, kp.K) or np.shares_memory(b, kp.Theta) for b in blocks)
-        got = route(kp, tr, te, y)
-        copies = (M[np.ix_(tr, tr)], M[np.ix_(tr, te)], kp.K[np.ix_(tr, tr)],
-                  kp.K[np.ix_(tr, te)], kp.K[np.ix_(te, te)])
-        with monkeypatch.context() as m:
-            m.setattr(infwidth, "_blocks", lambda *args: copies)
-            want = route(kp, tr, te, y)
-        assert not any(np.shares_memory(b, kp.K) or np.shares_memory(b, kp.Theta) for b in copies)
-        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
+    va, te_gd = te[:8], te[8:]
+    joint = np.arange(kp.count)  # [train, validation, test] of the GD map
+    for M, rows, cols in ((kp.Theta, tr, tr), (kp.Theta, tr, te), (kp.K, te, te),
+                          (kp.Theta, joint, tr), (kp.K, joint, joint)):
+        assert np.shares_memory(infwidth._block(M, rows, cols), M)
+    pol = EarlyStopPolicy(va, np.random.default_rng(91).standard_normal((8, 2)),
+                          patience=3, check_every=10, max_steps=2000)
+    runs = {
+        "closed_form": lambda: closed_form_posterior(kp, tr, te, y),
+        "bayesian": lambda: bayesian_posterior(kp, tr, te, y),
+        "gd_evolve": lambda: gd_evolve(kp, tr, te_gd, y, stop=pol),
+        "scan": lambda: matrix_element_scan(lambda n: (kp, tr[:n], te), (30, 60, 120)),
+    }
+    got = {name: run() for name, run in runs.items()}
+    copies = []
+
+    def copy_block(M, rows, cols):
+        copies.append(M[np.ix_(rows, cols)])
+        return copies[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(infwidth, "_block", copy_block)
+        m.setattr(scaling, "_block", copy_block)
+        want = {name: run() for name, run in runs.items()}
+    assert copies and not any(np.shares_memory(b, kp.K) or np.shares_memory(b, kp.Theta) for b in copies)
+    for name in ("closed_form", "bayesian", "gd_evolve"):
+        assert np.array_equal(got[name].mean, want[name].mean), name
+        assert np.array_equal(got[name].cov, want[name].cov), name
+    assert got["gd_evolve"].steps_used == want["gd_evolve"].steps_used > 0
+    assert not got["scan"].excluded_sizes and len(got["scan"].exponents) == 5
+    assert repr(got["scan"]) == repr(want["scan"])
 
 
 def test_non_contiguous_ids_take_copies_and_match_the_oracle():
@@ -584,7 +620,8 @@ def test_non_contiguous_ids_take_copies_and_match_the_oracle():
         ([0, 1, 2, 4, 5], [6, 7, 8]),  # a gap in the train rows
         ([4, 3, 2, 1, 0], [5, 6, 7]),  # a descending range
     ):
-        blocks = infwidth._blocks(kp, kp.Theta, tr, te)
+        rows, cols = np.asarray(tr), np.asarray(te)
+        blocks = [infwidth._block(M, rows, c) for M in (kp.K, kp.Theta) for c in (rows, cols)]
         assert not any(np.shares_memory(b, kp.K) or np.shares_memory(b, kp.Theta) for b in blocks)
         post = closed_form_posterior(kp, tr, te, y)
         eta = 0.5 / np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
@@ -617,13 +654,39 @@ def test_posterior_on_contiguous_ids_copies_only_the_factor():
         assert peak < 1.5 * n_train**2 * 8, route.__name__
 
 
-def test_ids_outside_the_kernel_keep_their_np_ix_meaning():
-    # A range past the last row is not truncated to a view; it raises as
-    # np.ix_ does. A negative range indexes from the end, as np.ix_ does.
+def test_ids_outside_the_kernel_raise_value_error():
+    # A range past the last row is neither truncated to a view nor left to
+    # np.ix_'s IndexError, and a negative range does not wrap to the last rows.
     kp, tr, te, y = _random_instance(94, n_train=6, n_test=2)
-    with pytest.raises(IndexError):
-        closed_form_posterior(kp, tr, np.arange(6, 9), y)
     for route in (closed_form_posterior, bayesian_posterior):
-        a = route(kp, tr, np.arange(-2, 0), y)
-        b = route(kp, tr, te, y)
-        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+        for bad in (np.arange(6, 9), np.arange(-2, 0)):
+            with pytest.raises(ValueError, match="test ids must be rows of the 8-point kernel"):
+                route(kp, tr, bad, y)
+
+
+_ROUTES = {
+    "closed_form": lambda kp, ids, y: closed_form_posterior(kp, ids["train"], ids["test"], y),
+    "bayesian": lambda kp, ids, y: bayesian_posterior(kp, ids["train"], ids["test"], y),
+    "gd_evolve": lambda kp, ids, y: gd_evolve(
+        kp, ids["train"], ids["test"], y,
+        stop=EarlyStopPolicy(ids["validation"], np.zeros((ids["validation"].size, 1))),
+    ),
+    "scan": lambda kp, ids, y: matrix_element_scan(lambda n: (kp, ids["train"], ids["test"]), [8]),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, "count"])
+@pytest.mark.parametrize(
+    "route, which",
+    [("closed_form", "train"), ("closed_form", "test"), ("bayesian", "train"),
+     ("bayesian", "test"), ("gd_evolve", "train"), ("gd_evolve", "validation"),
+     ("gd_evolve", "test"), ("scan", "train"), ("scan", "test")],
+)
+def test_every_route_rejects_ids_outside_the_kernel(route, which, bad):
+    # One row rule on every route: an id outside [0, count) raises ValueError
+    # naming its id set, and a negative id never wraps to a row from the end.
+    kp, tr, te, y = _random_instance(95, n_train=8, n_test=4)
+    ids = {"train": tr, "validation": te[:2], "test": te[2:]}
+    ids[which] = np.append(ids[which][:-1], kp.count if bad == "count" else bad)
+    with pytest.raises(ValueError, match="%s ids must be rows of the 12-point kernel" % which):
+        _ROUTES[route](kp, ids, y)

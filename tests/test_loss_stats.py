@@ -150,9 +150,16 @@ def test_zero_covariance_gives_zero_variance_at_any_label_scale():
 
 def test_negative_loss_variance_raises_at_any_scale():
     # A non-PSD covariance can make the true var_L negative: here -0.75 s^2.
-    # At s = 1e-6 an absolute tolerance clamped it to 0.
+    # At s = 1e-6 an absolute tolerance clamped it to 0. PredictivePosterior
+    # rejects this covariance, so loss_stats' own guard is reached by setting
+    # it on a built posterior.
     for s in (1.0, 1e-3, 1e-6):
-        post = _posterior(np.zeros((2, 1)), s * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        cov = s * np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            _posterior(np.zeros((2, 1)), cov)
+        post = _posterior(np.zeros((2, 1)), np.eye(2))
+        object.__setattr__(post, "cov", cov)
+        object.__setattr__(post, "var", np.diag(cov))
         labels = np.sqrt(s) * np.array([[2.0], [-2.0]])
         with pytest.raises(ValueError, match="below round-off tolerance"):
             loss_stats(post, labels)

@@ -56,6 +56,14 @@ def test_fit_validation():
         fit_power_law([(10, 1.0), (10, 2.0), (30, 1.0)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_non_finite_sizes_and_values(bad):
+    # NaN compares false to 0, so a positivity test alone let it through.
+    for pts in ([(10, 1.0), (100, bad), (1000, 0.1)], [(10, 1.0), (bad, 0.5), (1000, 0.1)]):
+        with pytest.raises(ValueError, match="finite, strictly positive"):
+            fit_power_law(pts)
+
+
 def test_fit_invariances():
     rng = np.random.default_rng(1)
     pts = [(int(n), float(v)) for n, v in zip([8, 32, 128, 512], rng.uniform(1, 5, 4))]
