@@ -118,18 +118,7 @@ def _cmd_fit(args):
             return read_setting(where, float, row[col])
 
         pts = [(value(r, args.x_col), value(r, args.y_col)) for r in reader]
-    fit = fit_power_law(pts)
-    print(
-        json.dumps(
-            {
-                "exponent": fit.exponent,
-                "intercept": fit.intercept,
-                "slope_sigma": fit.slope_sigma,
-                "n_points": fit.n_points,
-                "r_squared": fit.r_squared,
-            }
-        )
-    )
+    print(json.dumps(dataclasses.asdict(fit_power_law(pts))))
 
 
 def _cmd_emit_plot(args):

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import IllConditionedError, NtkuqError
 from .datasets import DATASET_SETTINGS, dataset_from_spec, read_setting, split_arrays, split_ids
 from .kernels import ArchitectureConfig, InputSet, build_kernel_pair
-from .infwidth import EarlyStopPolicy, bayesian_posterior, closed_form_posterior, gd_evolve
+from .infwidth import bayesian_posterior, closed_form_posterior, gd_evolve
 from .loss_stats import loss_stats
 from .finite_width import TrainConfig, run_ensemble
 from .scaling import epsilon_flatness_check, fit_power_law
@@ -142,8 +142,9 @@ def _cell_outcome(kp, labels, n_d, val_ids, test_ids, bayesian):
     """(loss stats, method, steps_used) of one cell, or the message of the error that skips it.
 
     The cell trains on kp's first n_d rows. An ill-conditioned train NTK falls back
-    from the closed form to the GD map, stopped on val_ids; the Bayesian path has
-    no fallback. Returns scalars only, so no posterior outlives its cell.
+    from the closed form to the GD map, stopped on val_ids by EarlyStopPolicy's
+    defaults; the Bayesian path has no fallback. Returns scalars only, so no
+    posterior outlives its cell.
     """
     train_ids = np.arange(n_d)
     y_train = labels[train_ids]
@@ -154,14 +155,8 @@ def _cell_outcome(kp, labels, n_d, val_ids, test_ids, bayesian):
             try:
                 post = closed_form_posterior(kp, train_ids, test_ids, y_train)
             except IllConditionedError:
-                policy = EarlyStopPolicy(
-                    validation_ids=val_ids,
-                    validation_labels=labels[val_ids],
-                    patience=20,
-                    check_every=100,
-                    max_steps=1_000_000,
-                )
-                post = gd_evolve(kp, train_ids, test_ids, y_train, stop=policy)
+                post = gd_evolve(kp, train_ids, test_ids, y_train, validation_ids=val_ids,
+                                 validation_labels=labels[val_ids])
         return loss_stats(post, labels[test_ids]), post.method, post.steps_used
     except NtkuqError as exc:
         return str(exc)

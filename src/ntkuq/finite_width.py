@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DivergenceError
-from .infwidth import _one_blas_thread
+from .infwidth import _diverged, _one_blas_thread
 from .kernels import _point_rows, label_matrix
 from .loss_stats import _eps
 
@@ -282,7 +282,7 @@ def train_with_early_stopping(net, split, arch, cfg, val_loss_fn=None):
         epoch += 1
         trace = _forward_trace(net, x_tr)
         train_loss = _mse(trace[0][-1], y_tr)
-        if not np.isfinite(train_loss) or train_loss > 1e6 * max(initial_train, 1e-300):
+        if _diverged(train_loss, initial_train):
             stop_reason = "divergence"
             break
         val = val_loss_fn(net, epoch)

@@ -98,23 +98,15 @@ class PredictivePosterior:
 class EarlyStopPolicy:
     """Validation-loss early stopping for the iterated GD map.
 
-    validation_ids are rows of the KernelPair handed to gd_evolve, like its
-    train_ids and test_ids; patience is counted in checks, each check_every
-    steps apart.
+    patience is counted in checks, each check_every steps apart. The defaults
+    are the fallback run_plan runs when Theta_A fails the conditioning gate.
     """
 
-    validation_ids: np.ndarray
-    validation_labels: np.ndarray
-    patience: int = 10
+    patience: int = 20
     check_every: int = 100
-    max_steps: int = 10_000_000
+    max_steps: int = 1_000_000
 
     def __post_init__(self):
-        object.__setattr__(self, "validation_ids", np.asarray(self.validation_ids, dtype=int))
-        if self.validation_ids.size == 0:
-            raise ValueError("early stopping needs at least one validation id")
-        labels = label_matrix(self.validation_labels, self.validation_ids.size)
-        object.__setattr__(self, "validation_labels", labels)
         if self.patience < 1 or self.check_every < 1:
             raise ValueError("patience and check_every must be >= 1")
         if self.max_steps < 0:
@@ -122,11 +114,21 @@ class EarlyStopPolicy:
 
 
 def _rows(ids, kp, name):
-    """ids as a 1-D int array of rows of kp; ValueError for any id outside [0, kp.count)."""
-    ids = np.asarray(ids, dtype=int)
+    """ids as a 1-D int array of rows of kp; ValueError for ids that are not
+    integers (an empty list is none) or outside [0, kp.count)."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError("%s must be integers, not %s" % (name, ids.dtype))
+    ids = ids.astype(int, copy=False)
     if ids.ndim != 1 or np.any(ids < 0) or np.any(ids >= kp.count):
         raise ValueError("%s must be rows of the %d-point kernel" % (name, kp.count))
     return ids
+
+
+def _diverged(loss, initial):
+    """Whether a training loop's loss is not finite or above DIVERGENCE_FACTOR x its
+    initial loss; gd_evolve and finite_width.train_with_early_stopping share it."""
+    return not np.isfinite(loss) or loss > DIVERGENCE_FACTOR * max(initial, 1e-300)
 
 
 def _block(M, rows, cols):
@@ -255,23 +257,25 @@ def bayesian_posterior(kp, train_ids, test_ids, labels):
     return PredictivePosterior(mean=mean, cov=0.5 * (cov + cov.T), method="bayesian")
 
 
-def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, stop):
+def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, validation_ids, validation_labels,
+              stop=EarlyStopPolicy()):
     """Evolve the joint output distribution under the linear GD map.
 
     Starts from mean 0 and covariance K over the train, validation and test
-    rows of kp (the validation rows are stop.validation_ids) and applies
-    z <- z - eta * Theta[:, A] (z_A - y) jointly; the covariance is
-    conjugated by the linear part. Stops on the early-stop policy and
-    returns the posterior over test_ids only, at the best-validation step.
-    eta defaults to 1 / lambda_max(Theta_A). The map reads only Theta's train
-    columns, Theta[joint, train], and the prior K[joint, joint].
+    rows of kp and applies z <- z - eta * Theta[:, A] (z_A - y) jointly; the
+    covariance is conjugated by the linear part. Stops on the validation
+    loss under stop and returns the posterior over test_ids only, at the
+    best-validation step. eta defaults to 1 / lambda_max(Theta_A). The map
+    reads only Theta's train columns, Theta[joint, train], and the prior
+    K[joint, joint].
     """
     tr, te = _rows(train_ids, kp, "train ids"), _rows(test_ids, kp, "test ids")
-    va = _rows(stop.validation_ids, kp, "validation ids")
+    va = _rows(validation_ids, kp, "validation ids")
+    if va.size == 0:
+        # With none, the first check would take a mean over nothing.
+        raise ValueError("early stopping needs at least one validation id")
     y = label_matrix(labels, tr.size)
-    val_labels = stop.validation_labels
-    if val_labels.shape[1] != y.shape[1]:
-        raise ValueError("validation labels and train labels disagree on n_out")
+    val_labels = label_matrix(validation_labels, va.size, y.shape[1])
     joint = np.concatenate([tr, va, te])
     n = joint.size
     n_train = tr.size
@@ -320,7 +324,7 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, stop):
         cov = A_k @ cov @ A_k.T
         step += steps
         val = _mean_loss(np.diag(cov)[val_rows], val_labels - mean[val_rows])
-        if not np.isfinite(val) or val > DIVERGENCE_FACTOR * max(initial_val, 1e-300):
+        if _diverged(val, initial_val):
             raise DivergenceError(
                 "validation loss %g exceeded %g x initial after %d steps (eta=%g too large)"
                 % (val, DIVERGENCE_FACTOR, step, eta)

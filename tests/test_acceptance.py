@@ -104,14 +104,12 @@ def test_criterion_2_closed_form_vs_iterative():
         te_all = np.arange(n_train, n_train + n_test + n_val)
         closed = closed_form_posterior(kp, tr, np.arange(n_train, n_train + n_test), y)
         lam = np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
-        pol = EarlyStopPolicy(
+        pol = EarlyStopPolicy(patience=50, check_every=200, max_steps=2_000_000)
+        post = gd_evolve(
+            kp, tr, te_all, y, eta=0.5 / lam,
             validation_ids=np.arange(n_train + n_test, n_train + n_test + n_val),
-            validation_labels=y[:n_val],
-            patience=50,
-            check_every=200,
-            max_steps=2_000_000,
+            validation_labels=y[:n_val], stop=pol,
         )
-        post = gd_evolve(kp, tr, te_all, y, eta=0.5 / lam, stop=pol)
         worst_mean = max(
             worst_mean,
             float(

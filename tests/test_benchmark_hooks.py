@@ -1,18 +1,24 @@
-"""The benchmark's tracing hooks (perfbench/spans.py) still fit the library.
+"""The benchmark's tracing hooks (perfbench/spans.py) and its copy of the
+GD-map fallback (perfbench/workloads.py) still fit the library.
 
 spans.py replaces ntkuq functions by name in the modules that call them, so
 a function renamed, moved or no longer imported by a caller would break the
-benchmark's per-layer metrics. The file is compiled from its source and
+benchmark's per-layer metrics. Both files are read from their source and
 never imported, so nothing is written under perfbench/.
 """
 
+import ast
 import importlib
 import os
 import types
 
 import pytest
 
-SPANS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "spans.py")
+from ntkuq import EarlyStopPolicy
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+SPANS = os.path.join(PERFBENCH, "spans.py")
+WORKLOADS = os.path.join(PERFBENCH, "workloads.py")
 
 
 @pytest.fixture
@@ -51,3 +57,17 @@ def test_install_then_uninstall_restores_every_original(spans):
     assert all(during[key] is not before[key] for key in before)
     after = _installed(spans.WRAPPED)
     assert all(after[key] is before[key] for key in before)
+
+
+def test_workloads_gd_max_steps_is_the_fallback_policy():
+    # record_refs.py checks that iterative cells ran GD_MAX_STEPS steps, so the
+    # constant must follow the policy run_plan runs.
+    with open(WORKLOADS) as f:
+        tree = ast.parse(f.read(), WORKLOADS)
+    values = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["GD_MAX_STEPS"]
+    ]
+    assert values == [EarlyStopPolicy().max_steps]

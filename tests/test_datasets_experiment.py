@@ -526,13 +526,14 @@ def _per_cell_kernel_rows(plan, ds):
                             post = closed_form_posterior(kp, train, test, y)
                         except IllConditionedError:
                             policy = EarlyStopPolicy(
-                                validation_ids=val,
-                                validation_labels=ds.labels[val_ids],
                                 patience=20,
                                 check_every=100,
                                 max_steps=1_000_000,
                             )
-                            post = gd_evolve(kp, train, test, y, eta=None, stop=policy)
+                            post = gd_evolve(
+                                kp, train, test, y, eta=None, validation_ids=val,
+                                validation_labels=ds.labels[val_ids], stop=policy,
+                            )
                 except IllConditionedError:
                     skipped.append((name, n_d, float(lam_b)))
                     continue
@@ -1015,6 +1016,7 @@ def test_cli_sweep_fit_emit(tmp_path, capsys):
     rc = cli_main(["fit", "--input", str(fit_csv)])
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)
+    assert list(rec) == ["exponent", "intercept", "slope_sigma", "n_points", "r_squared"]
     assert rec["exponent"] == pytest.approx(-0.5, abs=1e-10)
     # a column the file does not have is named, next to the ones it has
     assert cli_main(["fit", "--input", str(fit_csv), "--y-col", "mu_L"]) == 1

@@ -42,11 +42,12 @@ def _random_instance(seed, n_train=8, n_test=3, d=10, depth=2, n_out=1, lambda_b
 
 
 def _dup_train_policy(kp, n_train, n_test, y, n_val=2, **kw):
-    """Validation on the duplicated train points, the last kernel rows."""
-    return EarlyStopPolicy(
+    """gd_evolve's early-stopping keywords: validation on the duplicated train
+    points, the last kernel rows, under EarlyStopPolicy(**kw)."""
+    return dict(
         validation_ids=np.arange(n_train + n_test, n_train + n_test + n_val),
         validation_labels=y[:n_val],
-        **kw,
+        stop=EarlyStopPolicy(**kw),
     )
 
 
@@ -102,7 +103,7 @@ def test_gd_evolve_matches_closed_form():
             kp, n_train, n_test, y, patience=50, check_every=200, max_steps=2_000_000
         )
         lam = np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
-        post = gd_evolve(kp, tr, te, y, eta=0.5 / lam, stop=pol)
+        post = gd_evolve(kp, tr, te, y, eta=0.5 / lam, **pol)
         np.testing.assert_allclose(post.mean, closed.mean, rtol=1e-6)
         np.testing.assert_allclose(post.cov, closed.cov, atol=1e-5)
 
@@ -112,29 +113,19 @@ def test_gd_evolve_scalar_contraction():
     kp, tr, te, y = _random_instance(5, n_train=1, n_test=1)
     kp2 = KernelPair(K=kp.K, Theta=kp.Theta, layer=kp.layer)
     theta_aa = kp.Theta[0, 0]
-    pol = EarlyStopPolicy(
-        validation_ids=np.array([0]),
-        validation_labels=y,
-        patience=100,
-        check_every=50,
-        max_steps=500_000,
-    )
+    pol = EarlyStopPolicy(patience=100, check_every=50, max_steps=500_000)
     # test side = (real test point, duplicate of the train point)
-    post = gd_evolve(kp2, [0], [1, 0], y, eta=1.5 / theta_aa, stop=pol)
+    post = gd_evolve(kp2, [0], [1, 0], y, eta=1.5 / theta_aa,
+                     validation_ids=np.array([0]), validation_labels=y, stop=pol)
     assert post.mean[1, 0] == pytest.approx(y[0, 0], abs=1e-8)
     assert post.cov[1, 1] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_gd_evolve_eta_zero_identity():
     kp, tr, te, y = _random_instance(6)
-    pol = EarlyStopPolicy(
-        validation_ids=te,
-        validation_labels=np.zeros((te.size, 1)),
-        patience=3,
-        check_every=10,
-        max_steps=1000,
-    )
-    post = gd_evolve(kp, tr, te, y, eta=0.0, stop=pol)
+    pol = EarlyStopPolicy(patience=3, check_every=10, max_steps=1000)
+    post = gd_evolve(kp, tr, te, y, eta=0.0, validation_ids=te,
+                     validation_labels=np.zeros((te.size, 1)), stop=pol)
     np.testing.assert_array_equal(post.mean, np.zeros((te.size, 1)))
     np.testing.assert_array_equal(post.cov, kp.K[np.ix_(te, te)])
 
@@ -142,24 +133,19 @@ def test_gd_evolve_eta_zero_identity():
 def test_gd_evolve_rejects_negative_and_nan_eta():
     # A NaN step used to pass "eta < 0" and surface as a DivergenceError.
     kp, tr, te, y = _random_instance(6)
-    pol = EarlyStopPolicy(validation_ids=te, validation_labels=np.zeros((te.size, 1)))
     for eta in (-0.1, float("nan")):
         with pytest.raises(ValueError, match="eta must be >= 0"):
-            gd_evolve(kp, tr, te, y, eta=eta, stop=pol)
+            gd_evolve(kp, tr, te, y, eta=eta, validation_ids=te,
+                      validation_labels=np.zeros((te.size, 1)))
 
 
 def test_gd_evolve_divergence_detected():
     kp, tr, te, y = _random_instance(7)
     lam = np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
-    pol = EarlyStopPolicy(
-        validation_ids=te,
-        validation_labels=np.zeros((te.size, 1)),
-        patience=1000,
-        check_every=100,
-        max_steps=1_000_000,
-    )
+    pol = EarlyStopPolicy(patience=1000, check_every=100, max_steps=1_000_000)
     with pytest.raises(DivergenceError):
-        gd_evolve(kp, tr, te, y, eta=3.0 / lam, stop=pol)
+        gd_evolve(kp, tr, te, y, eta=3.0 / lam, validation_ids=te,
+                  validation_labels=np.zeros((te.size, 1)), stop=pol)
 
 
 def test_gd_evolve_returns_only_the_test_rows():
@@ -168,25 +154,27 @@ def test_gd_evolve_returns_only_the_test_rows():
     kp, tr, side, y = _random_instance(12, n_train=8, n_test=6)
     va, te = side[:2], side[2:]
     lam = np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
-    pol = EarlyStopPolicy(va, kp.K[va, :1], patience=3, check_every=10, max_steps=3000)
-    post = gd_evolve(kp, tr, te, y, eta=0.5 / lam, stop=pol)
+    pol = dict(validation_ids=va, validation_labels=kp.K[va, :1],
+               stop=EarlyStopPolicy(patience=3, check_every=10, max_steps=3000))
+    post = gd_evolve(kp, tr, te, y, eta=0.5 / lam, **pol)
     assert post.mean.shape == (te.size, 1) and post.cov.shape == (te.size, te.size)
     # The old call shape, validation rows handed in on the test side too,
     # puts them in the joint twice. Its test block stops at the same step
     # and differs only by GEMM rounding.
-    both = gd_evolve(kp, tr, side, y, eta=0.5 / lam, stop=pol)
+    both = gd_evolve(kp, tr, side, y, eta=0.5 / lam, **pol)
     assert both.steps_used == post.steps_used > 0
     np.testing.assert_allclose(post.mean, both.mean[2:], rtol=1e-12)
     np.testing.assert_allclose(post.cov, both.cov[2:, 2:], rtol=1e-12, atol=1e-15)
     for bad in (-1, kp.count):
         with pytest.raises(ValueError, match="validation ids"):
-            gd_evolve(kp, tr, te, y, stop=EarlyStopPolicy([bad], np.zeros((1, 1))))
+            gd_evolve(kp, tr, te, y, validation_ids=[bad], validation_labels=np.zeros((1, 1)))
 
 
 def test_early_stop_policy_needs_validation_ids():
     # With none, the first check would take a mean over nothing.
+    kp, tr, te, y = _random_instance(31, n_train=8, n_test=4)
     with pytest.raises(ValueError, match="at least one validation id"):
-        EarlyStopPolicy(validation_ids=[], validation_labels=np.zeros((0, 1)))
+        gd_evolve(kp, tr, te, y, validation_ids=[], validation_labels=np.zeros((0, 1)))
 
 
 def test_early_stop_policy_rejects_negative_max_steps():
@@ -195,8 +183,9 @@ def test_early_stop_policy_rejects_negative_max_steps():
     kp, tr, te, y = _random_instance(31, n_train=8, n_test=4)
     va = te[:2]
     with pytest.raises(ValueError, match="max_steps must be >= 0"):
-        EarlyStopPolicy(va, np.zeros((2, 1)), max_steps=-5)
-    prior = gd_evolve(kp, tr, te, y, eta=0.1, stop=EarlyStopPolicy(va, np.zeros((2, 1)), max_steps=0))
+        EarlyStopPolicy(max_steps=-5)
+    prior = gd_evolve(kp, tr, te, y, eta=0.1, validation_ids=va, validation_labels=np.zeros((2, 1)),
+                      stop=EarlyStopPolicy(max_steps=0))
     assert prior.steps_used == 0 and not prior.mean.any()
     assert np.array_equal(prior.cov, kp.K[np.ix_(te, te)])
 
@@ -212,7 +201,7 @@ def test_gd_evolve_never_steps_past_max_steps():
     posts = [
         gd_evolve(
             kp, tr, te, y, eta=eta,
-            stop=_dup_train_policy(kp, n_train, n_test, y, check_every=every, max_steps=150),
+            **_dup_train_policy(kp, n_train, n_test, y, check_every=every, max_steps=150),
         )
         for every in (100, 50)
     ]
@@ -221,7 +210,7 @@ def test_gd_evolve_never_steps_past_max_steps():
     np.testing.assert_allclose(posts[0].cov, posts[1].cov, rtol=1e-12, atol=1e-15)
     short = gd_evolve(
         kp, tr, te, y, eta=eta,
-        stop=_dup_train_policy(kp, n_train, n_test, y, check_every=100, max_steps=30),
+        **_dup_train_policy(kp, n_train, n_test, y, check_every=100, max_steps=30),
     )
     assert short.steps_used == 30
 
@@ -236,7 +225,7 @@ def test_eta_independence_of_limits():
         pol = _dup_train_policy(
             kp, n_train, n_test, y, patience=50, check_every=200, max_steps=2_000_000
         )
-        post = gd_evolve(kp, tr, te, y, eta=frac / lam, stop=pol)
+        post = gd_evolve(kp, tr, te, y, eta=frac / lam, **pol)
         results.append(post.mean)
     np.testing.assert_allclose(results[0], results[1], rtol=1e-5)
     np.testing.assert_allclose(results[1], results[2], rtol=1e-5)
@@ -401,7 +390,7 @@ def test_posterior_jsonl_keeps_method_and_steps(tmp_path):
     te = np.arange(n_train, n_train + n_test)
     pol = _dup_train_policy(kp, n_train, n_test, y, patience=3, check_every=10, max_steps=200)
     lam = np.max(np.linalg.eigvalsh(kp.Theta[np.ix_(tr, tr)]))
-    posts = [bayesian_posterior(kp, tr, te, y), gd_evolve(kp, tr, te, y, eta=0.5 / lam, stop=pol)]
+    posts = [bayesian_posterior(kp, tr, te, y), gd_evolve(kp, tr, te, y, eta=0.5 / lam, **pol)]
     assert [p.method for p in posts] == ["bayesian", "iterative"] and posts[1].steps_used > 0
     for post in posts:
         path = tmp_path / (post.method + ".jsonl")
@@ -458,9 +447,7 @@ def _label_consumers(n_out):
     kp = build_kernel_pair(InputSet(X), ArchitectureConfig(depth=2, input_dim=4))
     tr, te = np.arange(3), np.arange(3, 5)
     post = PredictivePosterior(mean=np.zeros((3, n_out)), cov=np.eye(3), method="x")
-    stop = EarlyStopPolicy(
-        validation_ids=[3], validation_labels=np.zeros((1, n_out)), check_every=1, max_steps=3
-    )
+    stop = EarlyStopPolicy(check_every=1, max_steps=3)
     arch = ArchitectureConfig(depth=2, input_dim=4, hidden_width=8, n_out=n_out)
 
     def one_gd_epoch(Y):
@@ -470,12 +457,17 @@ def _label_consumers(n_out):
 
     return {
         "Dataset": lambda Y: Dataset(inputs=InputSet(X[:3]), labels=Y).labels,
-        "EarlyStopPolicy": lambda Y: EarlyStopPolicy(tr, Y).validation_labels,
         "PredictivePosterior": lambda Y: PredictivePosterior(Y, np.eye(3), "x").mean,
         "loss_stats": lambda Y: loss_stats(post, Y).mu_L,
         "closed_form_posterior": lambda Y: closed_form_posterior(kp, tr, te, Y).mean,
         "bayesian_posterior": lambda Y: bayesian_posterior(kp, tr, te, Y).mean,
-        "gd_evolve": lambda Y: gd_evolve(kp, tr, te, Y, stop=stop).mean,
+        "gd_evolve": lambda Y: gd_evolve(
+            kp, tr, te, Y, validation_ids=[3], validation_labels=np.zeros((1, n_out)), stop=stop
+        ).mean,
+        "gd_evolve_validation_labels": lambda Y: gd_evolve(
+            kp, [3], [4], np.zeros((1, n_out)), validation_ids=tr, validation_labels=Y,
+            stop=stop,
+        ).mean,
         "mse_loss": lambda Y: mse_loss(init_network(arch, seed=80), X[:3], Y),
         "gd_epoch": one_gd_epoch,
     }
@@ -584,12 +576,14 @@ def test_contiguous_ids_read_views_with_the_bits_of_copies(monkeypatch):
     for M, rows, cols in ((kp.Theta, tr, tr), (kp.Theta, tr, te), (kp.K, te, te),
                           (kp.Theta, joint, tr), (kp.K, joint, joint)):
         assert np.shares_memory(infwidth._block(M, rows, cols), M)
-    pol = EarlyStopPolicy(va, np.random.default_rng(91).standard_normal((8, 2)),
-                          patience=3, check_every=10, max_steps=2000)
+    pol = dict(
+        validation_ids=va, validation_labels=np.random.default_rng(91).standard_normal((8, 2)),
+        stop=EarlyStopPolicy(patience=3, check_every=10, max_steps=2000),
+    )
     runs = {
         "closed_form": lambda: closed_form_posterior(kp, tr, te, y),
         "bayesian": lambda: bayesian_posterior(kp, tr, te, y),
-        "gd_evolve": lambda: gd_evolve(kp, tr, te_gd, y, stop=pol),
+        "gd_evolve": lambda: gd_evolve(kp, tr, te_gd, y, **pol),
         "scan": lambda: matrix_element_scan(lambda n: (kp, tr[:n], te), (30, 60, 120)),
     }
     got = {name: run() for name, run in runs.items()}
@@ -669,7 +663,7 @@ _ROUTES = {
     "bayesian": lambda kp, ids, y: bayesian_posterior(kp, ids["train"], ids["test"], y),
     "gd_evolve": lambda kp, ids, y: gd_evolve(
         kp, ids["train"], ids["test"], y,
-        stop=EarlyStopPolicy(ids["validation"], np.zeros((ids["validation"].size, 1))),
+        validation_ids=ids["validation"], validation_labels=np.zeros((ids["validation"].size, 1)),
     ),
     "scan": lambda kp, ids, y: matrix_element_scan(lambda n: (kp, ids["train"], ids["test"]), [8]),
 }
@@ -690,3 +684,49 @@ def test_every_route_rejects_ids_outside_the_kernel(route, which, bad):
     ids[which] = np.append(ids[which][:-1], kp.count if bad == "count" else bad)
     with pytest.raises(ValueError, match="%s ids must be rows of the 12-point kernel" % which):
         _ROUTES[route](kp, ids, y)
+
+
+@pytest.mark.parametrize("bad", ["float", "mask"])
+@pytest.mark.parametrize(
+    "route, which",
+    [("closed_form", "train"), ("closed_form", "test"), ("bayesian", "train"),
+     ("bayesian", "test"), ("gd_evolve", "train"), ("gd_evolve", "validation"),
+     ("gd_evolve", "test"), ("scan", "train"), ("scan", "test")],
+)
+def test_every_route_rejects_ids_that_are_not_integers(route, which, bad):
+    # Float ids used to be truncated to rows, and a boolean mask became rows
+    # 0 and 1 (then reported as an ill-conditioned Theta_A).
+    kp, tr, te, y = _random_instance(96, n_train=8, n_test=4)
+    ids = {"train": tr, "validation": te[:2], "test": te[2:]}
+    if bad == "float":
+        ids[which] = ids[which] + 0.25
+    else:
+        ids[which] = np.isin(np.arange(kp.count), ids[which])
+    with pytest.raises(ValueError, match="%s ids must be integers" % which):
+        _ROUTES[route](kp, ids, y)
+
+
+def test_an_empty_id_list_is_still_valid():
+    # np.asarray([]) is a float array; it names no row, so it is no non-integer id.
+    kp, tr, te, y = _random_instance(97)
+    for route in (closed_form_posterior, bayesian_posterior):
+        for empty in ([], np.array([])):
+            post = route(kp, tr, empty, y)
+            assert post.mean.shape == (0, 1) and post.cov.shape == (0, 0)
+
+
+def test_gd_evolve_validation_labels_need_the_train_n_out():
+    # One label rule for both label sets; -1, count and no validation id are
+    # rejected by the row tests above.
+    kp, tr, te, y = _random_instance(98, n_train=8, n_test=4, n_out=2)
+    with pytest.raises(ValueError, match="label shape"):
+        gd_evolve(kp, tr, te, y, validation_ids=te[:2], validation_labels=np.zeros((2, 1)))
+
+
+def test_early_stop_policy_is_the_sweep_fallback_rule():
+    # The fields are the rule alone; their defaults are what run_plan runs.
+    import dataclasses
+
+    pol = EarlyStopPolicy()
+    assert [f.name for f in dataclasses.fields(pol)] == ["patience", "check_every", "max_steps"]
+    assert dataclasses.astuple(pol) == (20, 100, 1_000_000)
