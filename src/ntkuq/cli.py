@@ -35,7 +35,7 @@ def _cmd_kernel_build(args):
     inputs = InputSet(np.load(args.inputs))
     kp = build_kernel_pair(inputs, _arch_from_args(args, inputs.input_dim))
     save_kernel_pair(kp, args.out)
-    print(json.dumps({"count": kp.count, "layer": kp.layer, "out": args.out}))
+    print(json.dumps({"count": kp.count, "layer": args.depth, "out": args.out}))
 
 
 def _cmd_infwidth_predict(args):
@@ -56,7 +56,7 @@ def _cmd_infwidth_predict(args):
             np.save(f, post.cov)
     if args.test_labels:
         stats = loss_stats(post, np.load(args.test_labels))
-        print(stats.to_json())
+        print(json.dumps(dataclasses.asdict(stats)))
     else:
         print(json.dumps({"n_test": post.n_test, "method": post.method, "out": args.out}))
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .kernels import ArchitectureConfig, InputSet, _point_rows, label_matrix
+from .kernels import ArchitectureConfig, InputSet, _check_end, _point_rows, label_matrix
 from .finite_width import init_network, forward
 
 __all__ = [
@@ -51,7 +51,6 @@ DATASET_SETTINGS = (
 class Dataset:
     inputs: InputSet
     labels: np.ndarray
-    name: str = ""
     normalization: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -83,7 +82,8 @@ def _read_be32(f):
 def load_idx(images_path, labels_path):
     """Load an IDX image/label pair as a flattened one-hot dataset.
 
-    Pixels are scaled to [0, 1]; labels become 10-dim one-hot rows.
+    Pixels are scaled to [0, 1]; labels become 10-dim one-hot rows. A file
+    shorter or longer than its header promises raises ValueError.
     """
     with open(images_path, "rb") as f:
         magic = _read_be32(f)
@@ -95,6 +95,7 @@ def load_idx(images_path, labels_path):
         payload = f.read(count * rows * cols)
         if len(payload) != count * rows * cols:
             raise ValueError("truncated IDX image payload")
+        _check_end(f, "IDX image file")
         images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
 
     with open(labels_path, "rb") as f:
@@ -105,6 +106,7 @@ def load_idx(images_path, labels_path):
         raw = f.read(label_count)
         if len(raw) != label_count:
             raise ValueError("truncated IDX label payload")
+        _check_end(f, "IDX label file")
         digits = np.frombuffer(raw, dtype=np.uint8)
 
     if label_count != count:
@@ -113,12 +115,7 @@ def load_idx(images_path, labels_path):
         raise ValueError("label byte %d is not a digit 0-9" % digits.max())
     onehot = np.zeros((count, 10))
     onehot[np.arange(count), digits] = 1.0
-    return Dataset(
-        inputs=InputSet(images.astype(float) / 255.0),
-        labels=onehot,
-        name="idx",
-        normalization={"pixel_scale": 255.0},
-    )
+    return Dataset(inputs=InputSet(images.astype(float) / 255.0), labels=onehot)
 
 
 def load_event_vectors(path, energy_min, energy_max):
@@ -126,7 +123,8 @@ def load_event_vectors(path, energy_min, energy_max):
 
     Binary layout: u64 LE count, u64 LE input dim, then per event `dim`
     f64 inputs followed by one f64 energy label. Energies are mapped
-    affinely onto [0.1, 1.0]; the map is recorded for inversion.
+    affinely onto [0.1, 1.0]; the map is recorded for inversion. A file
+    shorter or longer than its header promises raises ValueError.
     """
     if energy_max <= energy_min:
         raise ValueError("energy_max must exceed energy_min")
@@ -136,8 +134,9 @@ def load_event_vectors(path, energy_min, energy_max):
             raise ValueError("truncated event file header")
         count, dim = struct.unpack("<QQ", header)
         payload = f.read(count * (dim + 1) * 8)
-    if len(payload) != count * (dim + 1) * 8:
-        raise ValueError("truncated event file payload")
+        if len(payload) != count * (dim + 1) * 8:
+            raise ValueError("truncated event file payload")
+        _check_end(f, "event file")
     data = np.frombuffer(payload, dtype="<f8").reshape(count, dim + 1)
     energies = data[:, -1]
     if np.any(energies < energy_min) or np.any(energies > energy_max):
@@ -146,7 +145,6 @@ def load_event_vectors(path, energy_min, energy_max):
     return Dataset(
         inputs=InputSet(data[:, :-1].copy()),
         labels=labels[:, None],
-        name="events",
         normalization={"energy_min": float(energy_min), "energy_max": float(energy_max)},
     )
 
@@ -188,7 +186,7 @@ def make_synthetic(generator, n_points, input_dim, seed, teacher_arch=None, nois
         raise ValueError("unknown synthetic generator %r" % generator)
     if noise > 0:
         Y = Y + noise * rng.standard_normal(Y.shape)
-    return Dataset(inputs=InputSet(X), labels=Y, name=generator, normalization={"seed": seed})
+    return Dataset(inputs=InputSet(X), labels=Y)
 
 
 def read_setting(key, cast, text):

@@ -80,8 +80,8 @@ class ExperimentPlan:
             raise ValueError("sizes must be distinct")
         object.__setattr__(self, "sizes", sizes)
         sweep = [float(v) for v in self.lambda_b_sweep]
-        if len(set(sweep)) != len(sweep) or not all(v >= 0 for v in sweep):
-            raise ValueError("lambda_b_sweep values must be distinct and >= 0")
+        if len(set(sweep)) != len(sweep) or not all(0 <= v < np.inf for v in sweep):
+            raise ValueError("lambda_b_sweep values must be distinct, >= 0 and finite")
         object.__setattr__(self, "lambda_b_sweep", sweep)
         if self.test_size < 1 or self.val_size < 1:
             raise ValueError("test_size and val_size must be >= 1")
@@ -89,6 +89,8 @@ class ExperimentPlan:
             raise ValueError("ensemble_size must be 0 or >= 2")
         if self.ensemble_size and self.train_cfg is None:
             raise ValueError("an ensemble plan needs a train_cfg")
+        if not (self.infinite_width or self.bayesian or self.ensemble_size):
+            raise ValueError("a plan must run infinite_width, bayesian or an ensemble")
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ def _row(columns, **values):
 
 
 def _cell_outcome(kp, labels, n_d, val_ids, test_ids, bayesian):
-    """(loss stats, method, steps_used) of one cell, or the message of the error that skips it.
+    """(loss stats, steps_used) of one cell, or the message of the error that skips it.
 
     The cell trains on kp's first n_d rows. An ill-conditioned train NTK falls back
     from the closed form to the GD map, stopped on val_ids by EarlyStopPolicy's
@@ -157,7 +159,7 @@ def _cell_outcome(kp, labels, n_d, val_ids, test_ids, bayesian):
             except IllConditionedError:
                 post = gd_evolve(kp, train_ids, test_ids, y_train, validation_ids=val_ids,
                                  validation_labels=labels[val_ids])
-        return loss_stats(post, labels[test_ids]), post.method, post.steps_used
+        return loss_stats(post, labels[test_ids]), post.steps_used
     except NtkuqError as exc:
         return str(exc)
 
@@ -255,11 +257,11 @@ def run_plan(plan, dataset):
                 if isinstance(outcome, str):
                     skipped.append({"series": name, **cell, "error": outcome})
                     continue
-                stats, method, steps_used = outcome
+                stats, steps_used = outcome
                 infwidth_rows.append(
                     _row(
                         INFWIDTH_COLUMNS, series=name, **cell, mu_L=stats.mu_L,
-                        var_L=stats.var_L, eps_L=stats.eps_L, method=method,
+                        var_L=stats.var_L, eps_L=stats.eps_L, method=stats.method,
                         steps_used=steps_used, config_hash=cfg_hash, master_seed=plan.master_seed,
                     )
                 )
@@ -285,14 +287,13 @@ def run_plan(plan, dataset):
     fit_rows = [
         _row(FIT_COLUMNS, quantity=name, **asdict(fit)) for name, fit in sorted(fits.items())
     ]
-    verdict = {k: getattr(flatness, k) for k in ("verdict", "exponent", "slope_sigma", "threshold")}
     # Every file is written whole, so a rerun replaces an earlier run's store.
     for name, text in {
         "infwidth.csv": _csv_text([INFWIDTH_COLUMNS] + infwidth_rows),
         "ensemble_summary.csv": _csv_text([SUMMARY_COLUMNS] + summary_rows),
         "ensemble.jsonl": _jsonl_text(member_rows),
         "fits.csv": _csv_text([FIT_COLUMNS] + fit_rows),
-        "flatness.json": json.dumps(verdict),
+        "flatness.json": json.dumps(asdict(flatness)),
         "skipped.jsonl": _jsonl_text(skipped),
     }.items():
         _write_file(os.path.join(plan.output_dir, name), text)

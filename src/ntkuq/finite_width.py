@@ -68,8 +68,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.eta > 0:  # NaN fails it too
-            raise ValueError("eta must be > 0")
+        if not 0 < self.eta < math.inf:  # NaN fails it too
+            raise ValueError("eta must be > 0 and finite")
         if self.patience < 1 or self.minibatch < 1:
             raise ValueError("patience and minibatch must be >= 1")
         if self.max_epochs < 0:

@@ -285,8 +285,8 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, validation_ids, vali
 
     if eta is None:
         eta = 1.0 / float(np.max(np.linalg.eigvalsh(Theta_jA[:n_train])))
-    if not eta >= 0:  # NaN fails it too
-        raise ValueError("eta must be >= 0")
+    if not 0 <= eta < np.inf:  # NaN fails it too
+        raise ValueError("eta must be >= 0 and finite")
 
     # One GD step: z <- M z + c with M = I - eta * Theta[:, A], acting on
     # the train columns only.

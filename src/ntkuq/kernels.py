@@ -105,10 +105,10 @@ class ArchitectureConfig:
         if self.input_dim < 1 or self.hidden_width < 1:
             raise ValueError("widths must be >= 1")
         # Written so that NaN fails them too.
-        if not self.lambda_w > 0:
-            raise ValueError("lambda_w must be > 0")
-        if not self.lambda_b >= 0:
-            raise ValueError("lambda_b must be >= 0")
+        if not 0 < self.lambda_w < np.inf:
+            raise ValueError("lambda_w must be > 0 and finite")
+        if not 0 <= self.lambda_b < np.inf:
+            raise ValueError("lambda_b must be >= 0 and finite")
 
 
 def _symmetric(M, name, tol):
@@ -122,11 +122,10 @@ def _symmetric(M, name, tol):
 
 @dataclass(frozen=True)
 class KernelPair:
-    """Layer-L kernel K and NTK Theta over a fixed ordering of inputs."""
+    """Layer-L kernel K and NTK Theta over a fixed ordering of inputs, as in the kernel file."""
 
     K: np.ndarray
     Theta: np.ndarray
-    layer: int
 
     def __post_init__(self):
         K = np.asarray(self.K, dtype=float)
@@ -262,7 +261,7 @@ def build_kernel_pair(inputs, arch):
         for M, blk in ((K, K_blk), (Theta, Th_blk)):
             M[i0:i1, i0:] = blk
             M[i1:, i0:i1] = blk[:, i1 - i0 :].T
-    return KernelPair(K=K, Theta=Theta, layer=arch.depth)
+    return KernelPair(K=K, Theta=Theta)
 
 
 def save_kernel_pair(kp, path):
@@ -278,17 +277,27 @@ def save_kernel_pair(kp, path):
         f.write(np.ascontiguousarray(kp.Theta, dtype="<f8").tobytes())
 
 
-def load_kernel_pair(path, layer=0):
-    """Read a KernelPair from the flat binary layout of save_kernel_pair."""
+def _check_end(f, kind):
+    """ValueError naming the file kind unless f has no bytes left."""
+    if f.read(1):
+        raise ValueError("%s has bytes after the payload its header gives" % kind)
+
+
+def load_kernel_pair(path):
+    """Read a KernelPair from the flat binary layout of save_kernel_pair.
+
+    A file shorter or longer than its count header promises raises ValueError.
+    """
     with open(path, "rb") as f:
         header = f.read(8)
         if len(header) != 8:
             raise ValueError("truncated kernel file: missing count header")
         (n,) = struct.unpack("<Q", header)
         payload = f.read(2 * n * n * 8)
-    if len(payload) != 2 * n * n * 8:
-        raise ValueError("truncated kernel file: expected %d matrix bytes" % (2 * n * n * 8))
+        if len(payload) != 2 * n * n * 8:
+            raise ValueError("truncated kernel file: expected %d matrix bytes" % (2 * n * n * 8))
+        _check_end(f, "kernel file")
     flat = np.frombuffer(payload, dtype="<f8")
     K = flat[: n * n].reshape(n, n).copy()
     Theta = flat[n * n :].reshape(n, n).copy()
-    return KernelPair(K=K, Theta=Theta, layer=layer)
+    return KernelPair(K=K, Theta=Theta)

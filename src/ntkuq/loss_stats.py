@@ -6,8 +6,7 @@ variance of the MSE test loss over the ensemble have closed forms from
 Gaussian moments; the quartic term collapses by Wick's theorem.
 """
 
-from dataclasses import dataclass, asdict
-import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +33,6 @@ class LossStats:
     n_out: int
     method: str = ""
     eps_defined: bool = True
-
-    def to_json(self):
-        return json.dumps(asdict(self))
 
 
 def _residuals(post, labels):

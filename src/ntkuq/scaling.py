@@ -16,6 +16,8 @@ __all__ = [
     "epsilon_flatness_check",
 ]
 
+FLATNESS_THRESHOLD = 0.15  # |exponent| up to which an eps_L fit is flat, whatever its slope_sigma
+
 
 @dataclass(frozen=True)
 class ScalingFit:
@@ -47,8 +49,6 @@ class FlatnessVerdict:
     exponent: float
     slope_sigma: float
     threshold: float
-    within_threshold: bool
-    within_2sigma: bool
 
 
 def fit_power_law(points):
@@ -137,28 +137,21 @@ def matrix_element_scan(builder, sizes):
     return MatrixScalingReport(stats=stats, exponents=exponents, excluded_sizes=excluded)
 
 
-def epsilon_flatness_check(fit, threshold=0.15):
+def epsilon_flatness_check(fit):
     """Verdict on whether a coefficient-of-variation fit is flat.
 
-    Passes when |exponent| <= threshold or |exponent| <= 2 * slope_sigma;
+    Passes when |exponent| <= FLATNESS_THRESHOLD or |exponent| <= 2 * slope_sigma;
     indeterminate below 4 fitted points.
     """
     if fit is None or fit.n_points < 4:
-        return FlatnessVerdict(
-            verdict="indeterminate",
-            exponent=float("nan") if fit is None else fit.exponent,
-            slope_sigma=float("nan") if fit is None else fit.slope_sigma,
-            threshold=threshold,
-            within_threshold=False,
-            within_2sigma=False,
-        )
-    within_threshold = abs(fit.exponent) <= threshold
-    within_2sigma = abs(fit.exponent) <= 2.0 * fit.slope_sigma
+        verdict = "indeterminate"
+    elif abs(fit.exponent) <= FLATNESS_THRESHOLD or abs(fit.exponent) <= 2.0 * fit.slope_sigma:
+        verdict = "pass"
+    else:
+        verdict = "fail"
     return FlatnessVerdict(
-        verdict="pass" if (within_threshold or within_2sigma) else "fail",
-        exponent=fit.exponent,
-        slope_sigma=fit.slope_sigma,
-        threshold=threshold,
-        within_threshold=within_threshold,
-        within_2sigma=within_2sigma,
+        verdict=verdict,
+        exponent=float("nan") if fit is None else fit.exponent,
+        slope_sigma=float("nan") if fit is None else fit.slope_sigma,
+        threshold=FLATNESS_THRESHOLD,
     )

@@ -1,5 +1,5 @@
 import csv
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 import inspect
 import json
 import re
@@ -13,6 +13,7 @@ from ntkuq import (
     ArchitectureConfig,
     Dataset,
     ExperimentPlan,
+    FlatnessVerdict,
     InputSet,
     emit_plot_data,
     energy_from_label,
@@ -76,6 +77,13 @@ def test_idx_bad_magic_and_truncation(tmp_path):
     trunc.write_bytes(img_path.read_bytes()[:-3])
     with pytest.raises(ValueError):
         load_idx(trunc, lab_path)
+    long_img, long_lab = tmp_path / "long_img.idx", tmp_path / "long_lab.idx"
+    long_img.write_bytes(img_path.read_bytes() + b"\x00" * 5)
+    long_lab.write_bytes(lab_path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="IDX image file has bytes after"):
+        load_idx(long_img, lab_path)
+    with pytest.raises(ValueError, match="IDX label file has bytes after"):
+        load_idx(img_path, long_lab)
 
 
 def test_idx_count_mismatch(tmp_path):
@@ -123,6 +131,9 @@ def test_event_vectors_validation(tmp_path):
     (tmp_path / "short.bin").write_bytes(path.read_bytes()[:20])
     with pytest.raises(ValueError):
         load_event_vectors(tmp_path / "short.bin", 10.0, 100.0)
+    (tmp_path / "long.bin").write_bytes(path.read_bytes() + b"\x00" * 24)
+    with pytest.raises(ValueError, match="event file has bytes after"):
+        load_event_vectors(tmp_path / "long.bin", 10.0, 100.0)
 
 
 def test_event_vectors_reject_inputs_that_are_not_2d(tmp_path):
@@ -206,6 +217,21 @@ def test_run_plan_rows_and_files(tmp_path):
     assert all(r["series"] == "infinite" for r in recs)
     assert "infinite:mu_L" in result.fits
     assert result.flatness.verdict in ("pass", "fail", "indeterminate")
+
+
+def test_flatness_json_is_the_verdict(tmp_path):
+    # The store-format guard: flatness.json is FlatnessVerdict, field for field, in order.
+    result = run_plan(_small_plan(tmp_path, sizes=[4, 8, 12, 16]), _small_dataset())
+    text = (tmp_path / "store" / "flatness.json").read_text()
+    assert text == json.dumps(asdict(result.flatness))
+    assert list(json.loads(text)) == ["verdict", "exponent", "slope_sigma", "threshold"]
+    assert list(json.loads(text)) == [f.name for f in fields(FlatnessVerdict)]
+
+
+def test_dataset_holds_only_what_is_read():
+    # normalization holds only the energy map that energy_from_label inverts.
+    assert [f.name for f in fields(Dataset)] == ["inputs", "labels", "normalization"]
+    assert _small_dataset().normalization == {}
 
 
 def test_run_plan_too_big_makes_no_store(tmp_path):
@@ -704,7 +730,7 @@ def test_load_plan_file_rejects_repeated_key(tmp_path):
         load_plan_file(path)
 
 
-def test_plan_validation():
+def test_plan_validation(tmp_path):
     from ntkuq.finite_width import TrainConfig
 
     arch = ArchitectureConfig(depth=2, input_dim=3)
@@ -712,16 +738,23 @@ def test_plan_validation():
         ExperimentPlan(sizes=[16, 8], arch=arch, output_dir="x")
     with pytest.raises(ValueError):
         ExperimentPlan(sizes=[8, 8], arch=arch, output_dir="x")
-    for sweep in ([0.5, 0.5], [1.0, -1.0], [1.0, float("nan")]):
+    nan, inf = float("nan"), float("inf")
+    for sweep in ([0.5, 0.5], [1.0, -1.0], [1.0, nan], [1.0, inf]):
         with pytest.raises(ValueError, match="lambda_b_sweep"):
             ExperimentPlan(sizes=[8], arch=arch, output_dir="x", lambda_b_sweep=sweep)
-    nan = float("nan")
-    for bad in (dict(lambda_b=nan), dict(lambda_w=nan), dict(lambda_b=-1.0), dict(lambda_w=0.0)):
-        with pytest.raises(ValueError, match="lambda_"):
+    for bad in (
+        dict(lambda_b=nan), dict(lambda_w=nan), dict(lambda_b=-1.0), dict(lambda_w=0.0),
+        dict(lambda_b=inf), dict(lambda_w=inf),
+    ):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             ArchitectureConfig(depth=2, **bad)
-    for eta in (nan, 0.0, -0.1):
+    for eta in (nan, 0.0, -0.1, inf):
         with pytest.raises(ValueError, match="eta must be > 0"):
             TrainConfig(eta=eta)
+    # An infinite sweep value is refused before the store is made, not blamed on the kernel.
+    with pytest.raises(ValueError, match="lambda_b_sweep"):
+        run_plan(_small_plan(tmp_path, lambda_b_sweep=[1.0, inf]), _small_dataset())
+    assert not (tmp_path / "store").exists()
     for bad, message in ((dict(minibatch=0), "minibatch"), (dict(max_epochs=-1), "max_epochs")):
         with pytest.raises(ValueError, match=message):
             TrainConfig(eta=0.1, **bad)
@@ -734,8 +767,9 @@ def test_plan_validation():
         (dict(sizes=[0, 8]), "sizes must be a non-empty list of sizes >= 1"),
         (dict(ensemble_size=1), "ensemble_size must be 0 or >= 2"),
         (dict(ensemble_size=-3), "ensemble_size must be 0 or >= 2"),
+        (dict(infinite_width=False), "a plan must run infinite_width, bayesian or an ensemble"),
     ],
-    ids=["no_sizes", "size_0", "ensemble_1", "ensemble_negative"],
+    ids=["no_sizes", "size_0", "ensemble_1", "ensemble_negative", "no_series"],
 )
 def test_plan_rejects_plans_that_run_nothing(tmp_path, bad, message):
     # Each would otherwise write no rows, or fail after making the store.

@@ -111,7 +111,7 @@ def test_gd_evolve_matches_closed_form():
 def test_gd_evolve_scalar_contraction():
     # one train point, scalar case: mean -> y, variance -> 0
     kp, tr, te, y = _random_instance(5, n_train=1, n_test=1)
-    kp2 = KernelPair(K=kp.K, Theta=kp.Theta, layer=kp.layer)
+    kp2 = KernelPair(K=kp.K, Theta=kp.Theta)
     theta_aa = kp.Theta[0, 0]
     pol = EarlyStopPolicy(patience=100, check_every=50, max_steps=500_000)
     # test side = (real test point, duplicate of the train point)
@@ -131,9 +131,9 @@ def test_gd_evolve_eta_zero_identity():
 
 
 def test_gd_evolve_rejects_negative_and_nan_eta():
-    # A NaN step used to pass "eta < 0" and surface as a DivergenceError.
+    # A NaN or infinite step used to pass "eta < 0" and surface as a DivergenceError.
     kp, tr, te, y = _random_instance(6)
-    for eta in (-0.1, float("nan")):
+    for eta in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="eta must be >= 0"):
             gd_evolve(kp, tr, te, y, eta=eta, validation_ids=te,
                       validation_labels=np.zeros((te.size, 1)))
@@ -624,8 +624,7 @@ def test_non_contiguous_ids_take_copies_and_match_the_oracle():
         np.testing.assert_allclose(post.cov, cov, atol=1e-6)
         # Reordering the kernel so that the same rows are ranges gives the same bits.
         order = np.concatenate([tr, te])
-        ranged = KernelPair(K=kp.K[np.ix_(order, order)], Theta=kp.Theta[np.ix_(order, order)],
-                            layer=kp.layer)
+        ranged = KernelPair(K=kp.K[np.ix_(order, order)], Theta=kp.Theta[np.ix_(order, order)])
         for route in (closed_form_posterior, bayesian_posterior):
             a = route(kp, tr, te, y)
             b = route(ranged, np.arange(5), np.arange(5, 8), y)

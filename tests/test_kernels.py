@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import struct
 import tracemalloc
 
@@ -192,25 +194,25 @@ def test_duplicate_point_consistency():
 
 def test_kernel_pair_validation():
     with pytest.raises(ValueError):
-        KernelPair(K=np.array([[0.0, 1.0], [0.5, 0.0]]), Theta=np.eye(2), layer=1)
+        KernelPair(K=np.array([[0.0, 1.0], [0.5, 0.0]]), Theta=np.eye(2))
     with pytest.raises(ValueError):
-        KernelPair(K=-np.eye(2), Theta=np.eye(2), layer=1)
+        KernelPair(K=-np.eye(2), Theta=np.eye(2))
 
 
 def test_kernel_pair_symmetry_tolerance():
     K = np.array([[1.0, 0.5], [0.5, 1.0]])
     skew = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="K is not symmetric"):
-        KernelPair(K=K + 2e-12 * skew, Theta=K, layer=1)
+        KernelPair(K=K + 2e-12 * skew, Theta=K)
     with pytest.raises(ValueError, match="Theta is not symmetric"):
-        KernelPair(K=K, Theta=K + 2e-12 * skew, layer=1)
+        KernelPair(K=K, Theta=K + 2e-12 * skew)
     near = K + 5e-13 * skew
-    kp = KernelPair(K=near, Theta=near, layer=1)
+    kp = KernelPair(K=near, Theta=near)
     for M in (kp.K, kp.Theta):
         np.testing.assert_array_equal(M, 0.5 * (near + near.T))
         assert np.array_equal(M, M.T)
     # an exactly symmetric matrix is kept as given; the caller's array stays writable
-    kp = KernelPair(K=K, Theta=K, layer=1)
+    kp = KernelPair(K=K, Theta=K)
     np.testing.assert_array_equal(kp.K, K)
     assert K.flags.writeable and not kp.K.flags.writeable and not kp.Theta.flags.writeable
 
@@ -239,7 +241,7 @@ def test_kernel_pair_rejects_nonfinite(tmp_path):
     nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
     for K, Theta in ((nan, np.eye(2)), (np.eye(2), nan), (np.eye(2), np.diag([1.0, np.inf]))):
         with pytest.raises(ValueError, match="non-finite"):
-            KernelPair(K=K, Theta=Theta, layer=1)
+            KernelPair(K=K, Theta=Theta)
     path = tmp_path / "nan.bin"
     path.write_bytes(struct.pack("<Q", 2) + np.concatenate([nan, np.eye(2)]).astype("<f8").tobytes())
     with pytest.raises(ValueError, match="non-finite"):
@@ -324,13 +326,18 @@ def test_input_set_takes_2d_arrays_only():
             InputSet(np.zeros(shape))
 
 
+def test_kernel_pair_is_what_the_kernel_file_holds():
+    assert [f.name for f in dataclasses.fields(KernelPair)] == ["K", "Theta"]
+    assert list(inspect.signature(load_kernel_pair).parameters) == ["path"]
+
+
 def test_binary_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     X = rng.standard_normal((6, 3))
     kp = build_kernel_pair(InputSet(X), ArchitectureConfig(depth=2, input_dim=3))
     path = tmp_path / "kernel.bin"
     save_kernel_pair(kp, path)
-    loaded = load_kernel_pair(path, layer=2)
+    loaded = load_kernel_pair(path)
     np.testing.assert_array_equal(loaded.K, kp.K)
     np.testing.assert_array_equal(loaded.Theta, kp.Theta)
 
@@ -339,4 +346,8 @@ def test_binary_truncation_detected(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\x03" + b"\x00" * 7 + b"\x00" * 16)
     with pytest.raises(ValueError):
+        load_kernel_pair(path)
+    # A whole 3-point file followed by bytes its header does not promise.
+    path.write_bytes(struct.pack("<Q", 3) + np.eye(3).tobytes() * 2 + b"\x00" * 64)
+    with pytest.raises(ValueError, match="kernel file has bytes after"):
         load_kernel_pair(path)

@@ -219,8 +219,9 @@ def test_mc_rejects_small_draws():
 def test_loss_stats_serialization():
     post, labels = _random_case(12)
     stats = loss_stats(post, labels)
+    from dataclasses import asdict
     import json
 
-    rec = json.loads(stats.to_json())
+    rec = json.loads(json.dumps(asdict(stats)))
     assert set(rec) >= {"mu_L", "var_L", "eps_L", "n_test", "n_out", "method"}
     assert rec["eps_L"] == pytest.approx(np.sqrt(rec["var_L"]) / rec["mu_L"])

@@ -1,8 +1,12 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from ntkuq import (
     ArchitectureConfig,
+    FlatnessVerdict,
     IllConditionedError,
     InputSet,
     KernelPair,
@@ -13,7 +17,7 @@ from ntkuq import (
     make_synthetic,
     matrix_element_scan,
 )
-from ntkuq.scaling import ScalingFit
+from ntkuq.scaling import FLATNESS_THRESHOLD, ScalingFit
 
 from oracles import ols_loglog
 
@@ -81,7 +85,7 @@ def _identity_builder(c, per_size=None):
         n = n_d + 4
         K = np.eye(n)
         Theta = scale * np.eye(n)
-        kp = KernelPair(K=K, Theta=Theta, layer=1)
+        kp = KernelPair(K=K, Theta=Theta)
         return kp, np.arange(n_d), np.arange(n_d, n)
 
     return build
@@ -116,7 +120,7 @@ def test_scan_inverse_matches_column_solve_oracle():
         Theta[n_d:, n_d:] = np.eye(3)
         K = np.eye(n)
         return (
-            KernelPair(K=K, Theta=Theta, layer=1),
+            KernelPair(K=K, Theta=Theta),
             np.arange(n_d),
             np.arange(n_d, n),
         )
@@ -145,7 +149,7 @@ def test_scan_singular_size_excluded():
             Theta[1, 1] = 0.0
             Theta[0, 1] = Theta[1, 0] = 0.0
             Theta[:n_d, :n_d] = 0.0
-        return KernelPair(K=np.eye(n), Theta=Theta, layer=1), np.arange(n_d), np.arange(n_d, n)
+        return KernelPair(K=np.eye(n), Theta=Theta), np.arange(n_d), np.arange(n_d, n)
 
     report = matrix_element_scan(build, [4, 8, 16])
     assert report.excluded_sizes == [8]
@@ -222,6 +226,20 @@ def test_flatness_verdicts():
         == "indeterminate"
     )
     assert epsilon_flatness_check(None).verdict == "indeterminate"
+
+
+def test_flatness_threshold_is_fixed():
+    # The verdict holds what flatness.json stores; the threshold is a constant, not a parameter.
+    assert [f.name for f in dataclasses.fields(FlatnessVerdict)] == [
+        "verdict", "exponent", "slope_sigma", "threshold"
+    ]
+    assert list(inspect.signature(epsilon_flatness_check).parameters) == ["fit"]
+    assert FLATNESS_THRESHOLD == 0.15
+    for exponent, verdict in ((-0.15, "pass"), (0.1501, "fail")):
+        fit = ScalingFit(exponent=exponent, intercept=0, slope_sigma=0.01, n_points=4, r_squared=1)
+        got = epsilon_flatness_check(fit)
+        assert (got.verdict, got.threshold) == (verdict, FLATNESS_THRESHOLD)
+    assert epsilon_flatness_check(None).threshold == FLATNESS_THRESHOLD
 
 
 def test_exponent_composition_delta_zero():
