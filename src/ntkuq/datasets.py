@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .kernels import ArchitectureConfig, InputSet, _check_end, _point_rows, label_matrix
+from .kernels import ArchitectureConfig, InputSet, _point_rows, _read_payload, label_matrix
 from .finite_width import init_network, forward
 
 __all__ = [
@@ -92,10 +92,7 @@ def load_idx(images_path, labels_path):
         count = _read_be32(f)
         rows = _read_be32(f)
         cols = _read_be32(f)
-        payload = f.read(count * rows * cols)
-        if len(payload) != count * rows * cols:
-            raise ValueError("truncated IDX image payload")
-        _check_end(f, "IDX image file")
+        payload = _read_payload(f, count * rows * cols, "IDX image file")
         images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
 
     with open(labels_path, "rb") as f:
@@ -103,10 +100,7 @@ def load_idx(images_path, labels_path):
         if magic != IDX_LABEL_MAGIC:
             raise ValueError("bad label magic 0x%08x" % magic)
         label_count = _read_be32(f)
-        raw = f.read(label_count)
-        if len(raw) != label_count:
-            raise ValueError("truncated IDX label payload")
-        _check_end(f, "IDX label file")
+        raw = _read_payload(f, label_count, "IDX label file")
         digits = np.frombuffer(raw, dtype=np.uint8)
 
     if label_count != count:
@@ -133,10 +127,7 @@ def load_event_vectors(path, energy_min, energy_max):
         if len(header) != 16:
             raise ValueError("truncated event file header")
         count, dim = struct.unpack("<QQ", header)
-        payload = f.read(count * (dim + 1) * 8)
-        if len(payload) != count * (dim + 1) * 8:
-            raise ValueError("truncated event file payload")
-        _check_end(f, "event file")
+        payload = _read_payload(f, count * (dim + 1) * 8, "event file")
     data = np.frombuffer(payload, dtype="<f8").reshape(count, dim + 1)
     energies = data[:, -1]
     if np.any(energies < energy_min) or np.any(energies > energy_max):

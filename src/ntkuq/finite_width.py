@@ -6,9 +6,11 @@ kernel statistics at initialization and follow the linearized GD
 dynamics during training.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+import functools
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -334,34 +336,41 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
+def _train_member(split, arch, cfg, seed):
+    """The record of the member with init seed `seed`; run_ensemble's pool task."""
+    return train_with_early_stopping(
+        init_network(arch, seed), split, arch, replace(cfg, seed=seed)
+    )
+
+
 def run_ensemble(split, arch, cfg, n_members, base_seed):
     """Train n_members networks differing only in their init seed.
 
     Every member trains with eta / max(arch.lambda_b, 1), because Theta, and
-    with it the largest stable step, scales with lambda_b. Members train
-    concurrently, one per usable core, each on one BLAS thread. They share
-    no mutable state, so every record is bit-identical to training the
-    members one after another, and erf releases the GIL, so they overlap. Returns
+    with it the largest stable step, scales with lambda_b. Members train in
+    forked worker processes, one per usable core, and each worker inherits the
+    one-thread BLAS setting, so every record is bit-identical to training the
+    members one after another. This needs a POSIX fork. The BLAS setting is
+    process-wide while the workers start, so a caller should not run
+    run_ensemble from several of its own threads at once. Returns
     per-member records in seed order, the sample mean/variance of the final
     test losses and eps, the SE of the mean and the jackknife SEs of std and
     eps. Diverged members are kept in the records but excluded from moments.
     A member's exception propagates once the running members finish; the
-    members not yet started are cancelled.
+    members not yet started are cancelled. Every worker has exited when
+    run_ensemble returns or raises.
     """
     if n_members < 2:
         raise ValueError("an ensemble needs at least 2 members")
     cfg = replace(cfg, eta=cfg.eta / max(arch.lambda_b, 1.0))
-
-    def member(seed):
-        return train_with_early_stopping(
-            init_network(arch, seed), split, arch, replace(cfg, seed=seed)
-        )
-
     seeds = range(base_seed, base_seed + n_members)
     with _one_blas_thread():
-        pool = ThreadPoolExecutor(max_workers=min(n_members, _usable_cores()))
+        pool = ProcessPoolExecutor(
+            max_workers=min(n_members, _usable_cores()),
+            mp_context=multiprocessing.get_context("fork"),
+        )
         try:
-            records = list(pool.map(member, seeds))
+            records = list(pool.map(functools.partial(_train_member, split, arch, cfg), seeds))
         finally:
             pool.shutdown(cancel_futures=True)
 

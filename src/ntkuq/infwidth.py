@@ -180,10 +180,12 @@ def _one_blas_thread():
     # pool's workers spin for a while after each call, so with both pools at 2
     # threads, 3 threads share 2 cores; one thread per pool is faster. It also
     # keeps the solve's bits independent of the thread count, which at some
-    # shapes changes how OpenBLAS rounds a GEMM. The count is process-wide:
-    # finite_width.run_ensemble's pool threads run inside the context too, and
-    # no posterior solve overlaps them, so only a concurrent caller's BLAS calls
-    # would also run on one thread meanwhile.
+    # shapes changes how OpenBLAS rounds a GEMM. finite_width.run_ensemble forks
+    # its worker processes inside the context (which needs a POSIX fork), so
+    # each member trains on one thread too. The count is process-wide: a
+    # caller's own threads run their BLAS calls on one thread meanwhile, and
+    # two threads entering the context at once could restore each other's count,
+    # so run_ensemble should not be called from several threads at once.
     pools = _openblas_pools()
     saved = [get() for get, _ in pools]
     for _, set_ in pools:

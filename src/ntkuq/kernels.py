@@ -7,6 +7,7 @@ kernel family).
 """
 
 from dataclasses import dataclass
+import os
 import struct
 
 import numpy as np
@@ -277,10 +278,20 @@ def save_kernel_pair(kp, path):
         f.write(np.ascontiguousarray(kp.Theta, dtype="<f8").tobytes())
 
 
-def _check_end(f, kind):
-    """ValueError naming the file kind unless f has no bytes left."""
-    if f.read(1):
+def _read_payload(f, size, kind):
+    """The `size` bytes left in f after its header; ValueError naming the file kind otherwise.
+
+    The file's size is compared before reading, so a header promising more
+    bytes than fit an index is a ValueError too, not an OverflowError.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise ValueError(
+            "truncated %s: its header gives %d payload bytes, %d follow" % (kind, size, left)
+        )
+    if size < left:
         raise ValueError("%s has bytes after the payload its header gives" % kind)
+    return f.read(size)
 
 
 def load_kernel_pair(path):
@@ -293,10 +304,7 @@ def load_kernel_pair(path):
         if len(header) != 8:
             raise ValueError("truncated kernel file: missing count header")
         (n,) = struct.unpack("<Q", header)
-        payload = f.read(2 * n * n * 8)
-        if len(payload) != 2 * n * n * 8:
-            raise ValueError("truncated kernel file: expected %d matrix bytes" % (2 * n * n * 8))
-        _check_end(f, "kernel file")
+        payload = _read_payload(f, 2 * n * n * 8, "kernel file")
     flat = np.frombuffer(payload, dtype="<f8")
     K = flat[: n * n].reshape(n, n).copy()
     Theta = flat[n * n :].reshape(n, n).copy()

@@ -136,6 +136,29 @@ def test_event_vectors_validation(tmp_path):
         load_event_vectors(tmp_path / "long.bin", 10.0, 100.0)
 
 
+def test_loaders_reject_headers_promising_more_than_the_file(tmp_path, capsys):
+    # Sizes past any index used to raise OverflowError from the read, which
+    # the CLI printed as a traceback.
+    img_path, lab_path = _write_idx(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [1, 2])
+    huge_img, huge_lab = tmp_path / "huge_img.idx", tmp_path / "huge_lab.idx"
+    huge_img.write_bytes(struct.pack(">IIII", 0x00000803, 2**32 - 1, 2**32 - 1, 2**32 - 1))
+    huge_lab.write_bytes(struct.pack(">II", 0x00000801, 2**32 - 1))
+    with pytest.raises(ValueError, match="truncated IDX image file"):
+        load_idx(huge_img, lab_path)
+    with pytest.raises(ValueError, match="truncated IDX label file"):
+        load_idx(img_path, huge_lab)
+    events = tmp_path / "events.bin"
+    events.write_bytes(struct.pack("<QQ", 2**62, 1))
+    with pytest.raises(ValueError, match="truncated event file"):
+        load_event_vectors(events, 10.0, 100.0)
+    assert cli_main(["ensemble", "run", "--events", str(events), "--depth", "2"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": "truncated event file: its header gives %d payload bytes, 0 follow"
+        % (2**62 * 2 * 8),
+    }
+
+
 def test_event_vectors_reject_inputs_that_are_not_2d(tmp_path):
     # 40 values are not one 40-feature event: rows are points, and no file is written.
     path = tmp_path / "events.bin"

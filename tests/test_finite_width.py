@@ -1,9 +1,12 @@
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 import copy
 from dataclasses import replace
+import json
+import multiprocessing
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -447,12 +450,24 @@ def _pool_workers(monkeypatch, cores):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     made = []
 
-    def pool(max_workers):
+    def pool(max_workers, mp_context):
+        assert mp_context.get_start_method() == "fork"
         made.append(max_workers)
-        return ThreadPoolExecutor(max_workers)
+        return ProcessPoolExecutor(max_workers, mp_context)
 
-    monkeypatch.setattr(finite_width, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(finite_width, "ProcessPoolExecutor", pool)
     return made
+
+
+def _log(path, value):
+    """Append value as one JSON line; members in worker processes report through files."""
+    with open(path, "a") as f:
+        f.write(json.dumps(value) + "\n")
+
+
+def _logged(path):
+    """The values _log appended to path, in the order they were written."""
+    return [json.loads(line) for line in path.read_text().splitlines()] if path.exists() else []
 
 
 _ENSEMBLES = {
@@ -531,19 +546,19 @@ def test_ensemble_pool_takes_the_cpu_count_without_affinity(monkeypatch):
     assert made == [3, 2]
 
 
-def test_ensemble_records_come_back_in_seed_order(monkeypatch):
+def test_ensemble_records_come_back_in_seed_order(monkeypatch, tmp_path):
     # Member 0 waits until member 1 has finished, so the pool finishes them
     # out of seed order; the records still come back in seed order.
     _pool_workers(monkeypatch, 2)
     train = finite_width.train_with_early_stopping
-    one_done = threading.Event()
-    finished = []
+    one_done = multiprocessing.get_context("fork").Event()
+    log = tmp_path / "finished"
 
     def member(net, split, arch, cfg):
         if cfg.seed == 0:
             assert one_done.wait(timeout=60)
         rec = train(net, split, arch, cfg)
-        finished.append(cfg.seed)
+        _log(log, cfg.seed)
         if cfg.seed == 1:
             one_done.set()
         return rec
@@ -552,19 +567,20 @@ def test_ensemble_records_come_back_in_seed_order(monkeypatch):
     arch = _small_arch(depth=2, width=8, n_out=1)
     split = _split(np.random.default_rng(26), arch)
     got = run_ensemble(split, arch, TrainConfig(eta=0.1, max_epochs=5), 3, base_seed=0)
+    finished = _logged(log)
     assert finished.index(1) < finished.index(0)
     assert [r.seed for r in got.records] == [0, 1, 2]
 
 
-def test_ensemble_member_exception_propagates_and_cancels_the_rest(monkeypatch):
+def test_ensemble_member_exception_propagates_and_cancels_the_rest(monkeypatch, tmp_path):
     _pool_workers(monkeypatch, 1)
-    started = []
+    log = tmp_path / "started"
 
     def member(net, split, arch, cfg):
-        started.append(cfg.seed)
+        _log(log, cfg.seed)
         if cfg.seed == 0:
             raise DivergenceError("member 0 failed")
-        threading.Event().wait(0.1)
+        time.sleep(0.1)
         return EnsembleRunRecord(cfg.seed, 1.0, 1.0, 1, "max_epochs")
 
     monkeypatch.setattr(finite_width, "train_with_early_stopping", member)
@@ -574,20 +590,21 @@ def test_ensemble_member_exception_propagates_and_cancels_the_rest(monkeypatch):
     with pytest.raises(DivergenceError, match="member 0 failed"):
         run_ensemble(split, arch, TrainConfig(eta=0.1), 8, base_seed=0)
     # The members not yet started were cancelled, and no pool thread outlives the call.
+    started = _logged(log)
     assert started[0] == 0 and len(started) < 8
     assert threading.active_count() == threads
 
 
-def test_ensemble_members_train_on_one_blas_thread(monkeypatch):
+def test_ensemble_members_train_on_one_blas_thread(monkeypatch, tmp_path):
     pools = _openblas_pools()
     if not pools:
         pytest.skip("no OpenBLAS thread pool in this process")
     _pool_workers(monkeypatch, 2)
     train = finite_width.train_with_early_stopping
-    seen = []
+    log = tmp_path / "seen"
 
     def member(net, split, arch, cfg):
-        seen.append([get() for get, _ in pools])
+        _log(log, [get() for get, _ in pools])
         if cfg.seed == 3:
             raise DivergenceError("member 3 failed")
         return train(net, split, arch, cfg)
@@ -609,7 +626,32 @@ def test_ensemble_members_train_on_one_blas_thread(monkeypatch):
     finally:
         for (_, set_), n in zip(pools, saved):
             set_(n)
+    seen = _logged(log)
     assert len(seen) >= 4 and all(counts == [1] * len(pools) for counts in seen)
+
+
+def test_no_worker_process_outlives_run_ensemble(monkeypatch):
+    _pool_workers(monkeypatch, 2)
+    arch = _small_arch(depth=2, width=8, n_out=1)
+    split = _split(np.random.default_rng(29), arch)
+    cfg = TrainConfig(eta=0.1, max_epochs=3)
+    threads = threading.active_count()
+    run_ensemble(split, arch, cfg, 3, base_seed=0)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+    train = finite_width.train_with_early_stopping
+
+    def member(net, split, arch, cfg):
+        if cfg.seed == 1:
+            raise DivergenceError("member 1 failed")
+        return train(net, split, arch, cfg)
+
+    monkeypatch.setattr(finite_width, "train_with_early_stopping", member)
+    with pytest.raises(DivergenceError, match="member 1 failed"):
+        run_ensemble(split, arch, cfg, 4, base_seed=0)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 def test_forward_rejects_inputs_that_are_not_2d():

@@ -351,3 +351,12 @@ def test_binary_truncation_detected(tmp_path):
     path.write_bytes(struct.pack("<Q", 3) + np.eye(3).tobytes() * 2 + b"\x00" * 64)
     with pytest.raises(ValueError, match="kernel file has bytes after"):
         load_kernel_pair(path)
+
+
+def test_kernel_file_header_promising_more_than_the_file(tmp_path):
+    # 2 * 8 * N**2 bytes do not fit an index at N = 2**40; the loader used to
+    # raise OverflowError from the read.
+    path = tmp_path / "huge.bin"
+    path.write_bytes(struct.pack("<Q", 2**40) + b"\x00" * 16)
+    with pytest.raises(ValueError, match="truncated kernel file: its header gives %d" % 2**84):
+        load_kernel_pair(path)
