@@ -23,7 +23,6 @@ from .infwidth import (
 )
 from .loss_stats import (
     LossStats,
-    coefficient_of_variation,
     loss_mean,
     loss_stats,
     loss_variance,

@@ -211,8 +211,6 @@ def run_plan(plan, dataset):
     test_ids, val_ids, pool = split_ids(
         dataset, plan.master_seed, plan.test_size, plan.val_size, max(plan.sizes)
     )
-    # The store is made only once the plan has been checked against the data.
-    os.makedirs(plan.output_dir, exist_ok=True)
     lambdas = plan.lambda_b_sweep or [float(plan.arch.lambda_b)]
 
     infwidth_rows = []
@@ -287,7 +285,9 @@ def run_plan(plan, dataset):
     fit_rows = [
         _row(FIT_COLUMNS, quantity=name, **asdict(fit)) for name, fit in sorted(fits.items())
     ]
-    # Every file is written whole, so a rerun replaces an earlier run's store.
+    # The store is made only now, so a plan that fails leaves none behind. Every
+    # file is written whole, so a rerun replaces an earlier run's store.
+    os.makedirs(plan.output_dir, exist_ok=True)
     for name, text in {
         "infwidth.csv": _csv_text([INFWIDTH_COLUMNS] + infwidth_rows),
         "ensemble_summary.csv": _csv_text([SUMMARY_COLUMNS] + summary_rows),

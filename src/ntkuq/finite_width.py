@@ -7,7 +7,7 @@ dynamics during training.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 import functools
 import math
 import multiprocessing
@@ -111,15 +111,20 @@ class EnsembleRunRecord:
 
 @dataclass(frozen=True)
 class EnsembleSummary:
+    """Sample moments of the members' test losses; eps_L follows from mu_L and var_L."""
+
     records: list
     mu_L: float
     var_L: float
-    eps_L: float
+    eps_L: float = field(init=False)
     eps_se: float
     mu_se: float
     sigma_se: float
     n_ok: int
     n_diverged: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "eps_L", _eps(self.mu_L, self.var_L))
 
 
 def init_network(arch, seed):
@@ -381,17 +386,15 @@ def run_ensemble(split, arch, cfg, n_members, base_seed):
     if ok.size >= 2:
         mu = float(np.mean(ok))
         var = float(np.var(ok, ddof=1))
-        eps = _eps(mu, var)
         eps_se = _jackknife_se(ok, _sample_eps)
         mu_se = math.sqrt(var) / math.sqrt(ok.size)
         sigma_se = _jackknife_se(ok, lambda a: a.std(ddof=1))
     else:
-        mu = var = eps = eps_se = mu_se = sigma_se = float("nan")
+        mu = var = eps_se = mu_se = sigma_se = float("nan")
     return EnsembleSummary(
         records=records,
         mu_L=mu,
         var_L=var,
-        eps_L=eps,
         eps_se=eps_se,
         mu_se=mu_se,
         sigma_se=sigma_se,

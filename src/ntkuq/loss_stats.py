@@ -1,12 +1,15 @@
 """Analytic mean/variance of the ensemble test loss, plus a Monte Carlo oracle.
 
-Given a Gaussian posterior over test outputs (shared covariance per
+Given a Gaussian posterior over test outputs (shared covariance S per
 output neuron, neurons uncorrelated) and the test labels, the mean and
 variance of the MSE test loss over the ensemble have closed forms from
-Gaussian moments; the quartic term collapses by Wick's theorem.
+Gaussian moments. Output column k's residual is r_k ~ N(-Delta_k, S), so
+Wick's theorem gives Var(r_k^T r_k) = 2 tr S^2 + 4 Delta_k^T S Delta_k; the
+columns are independent, and var_L is the sum of those variances over
+(2 B n_out)^2, never a difference of raw moments.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,23 +19,26 @@ __all__ = [
     "LossStats",
     "loss_mean",
     "loss_variance",
-    "coefficient_of_variation",
     "mc_loss_moments",
     "loss_stats",
 ]
 
-_VAR_RTOL = 1e-12  # round-off in E[L^2] - mu_L^2, relative to E[L^2]
+_VAR_RTOL = 1e-12  # round-off in the Wick sum, relative to mu_L^2
 
 
 @dataclass(frozen=True)
 class LossStats:
+    """mu_L and var_L of a posterior's test loss; eps_L = sigma_L / mu_L follows from them."""
+
     mu_L: float
     var_L: float
-    eps_L: float
+    eps_L: float = field(init=False)
     n_test: int
     n_out: int
     method: str = ""
-    eps_defined: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "eps_L", _eps(self.mu_L, self.var_L))
 
 
 def _residuals(post, labels):
@@ -58,7 +64,7 @@ def loss_variance(post, labels):
     """Variance of the test MSE loss over the ensemble.
 
     Requires the full test-test covariance; the off-diagonal entries
-    enter through the Frobenius and bilinear terms of E[L^2].
+    enter through the Frobenius and bilinear terms of the Wick sum.
     """
     return _moments(post, labels)[1]
 
@@ -70,48 +76,31 @@ def _moments(post, labels):
     delta = _residuals(post, labels)
     b, n_out = delta.shape
     S = post.cov
-    d2 = np.sum(delta * delta, axis=1)
-
-    sum_s = float(np.sum(post.var))
-    sum_d2 = float(np.sum(d2))
     frob = float(np.sum(S * S))
     cross = float(np.sum(S * (delta @ delta.T)))
-
-    e_l2 = (
-        n_out * n_out * sum_s * sum_s
-        + n_out * (2.0 * frob + 2.0 * sum_d2 * sum_s)
-        + 4.0 * cross
-        + sum_d2 * sum_d2
-    ) / (2.0 * b * n_out) ** 2
     mu = _mean_loss(post.var, delta)
-    var = e_l2 - mu * mu
+    var = (2.0 * n_out * frob + 4.0 * cross) / (2.0 * b * n_out) ** 2
     if var < 0:
-        if var < -_VAR_RTOL * e_l2:
+        if var < -_VAR_RTOL * mu * mu:
             raise ValueError("loss variance %g below round-off tolerance" % var)
         var = 0.0
-    return mu, float(var)
-
-
-def coefficient_of_variation(stats):
-    """eps_L = sqrt(var_L) / mu_L, defined only when mu_L > 0; NaN otherwise."""
-    return _eps(stats.mu_L, stats.var_L)
+    return mu, var
 
 
 def _eps(mu, var):
+    """eps_L = sqrt(var) / mu, defined only when mu > 0; NaN otherwise."""
     return float(np.sqrt(var) / mu) if mu > 0 else float("nan")
 
 
 def loss_stats(post, labels):
-    """Bundle mu_L, var_L and eps_L for a posterior/label pair."""
+    """mu_L and var_L of a posterior/label pair, as LossStats (which derives eps_L)."""
     mu, var = _moments(post, labels)
     return LossStats(
         mu_L=mu,
         var_L=var,
-        eps_L=_eps(mu, var),
         n_test=post.n_test,
         n_out=post.n_out,
         method=post.method,
-        eps_defined=mu > 0,
     )
 
 

@@ -2,8 +2,8 @@
 
 These deliberately avoid the code paths they check: Gauss-Hermite
 quadrature for the Gaussian pair expectations, textbook normal-equations
-OLS for the power-law fits, and a direct per-step GD recursion for small
-instances.
+OLS for the power-law fits, a direct per-step GD recursion for small
+instances, and raw Gaussian moments of the test loss in extended precision.
 """
 
 import numpy as np
@@ -73,3 +73,23 @@ def gd_map_limit(theta, kernel, train_ids, test_ids, labels, eta, steps):
         cov = M @ cov @ M.T
     sl = slice(tr.size, n)
     return mean[sl], cov[sl, sl]
+
+
+def loss_variance_longdouble(mean, cov, labels):
+    """var_L as E[L^2] - mu_L^2, from the four Gaussian-moment terms, in np.longdouble.
+
+    The float64 inputs convert exactly, so this is the same posterior; the
+    subtraction loses about log10(1/eps_L^2) of the extended format's digits.
+    """
+    S = np.asarray(cov, dtype=np.longdouble)
+    delta = np.asarray(labels, dtype=np.longdouble) - np.asarray(mean, dtype=np.longdouble)
+    b, n = delta.shape
+    sum_s = np.trace(S)
+    sum_d2 = np.sum(delta * delta)
+    frob = np.sum(S * S)
+    cross = np.sum(S * (delta @ delta.T))
+    e_l2 = (
+        n * n * sum_s * sum_s + n * (2 * frob + 2 * sum_d2 * sum_s) + 4 * cross + sum_d2 * sum_d2
+    ) / (2 * b * n) ** 2
+    mu = (n * sum_s + sum_d2) / (2 * b * n)
+    return e_l2 - mu * mu

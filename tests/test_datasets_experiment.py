@@ -265,6 +265,36 @@ def test_run_plan_too_big_makes_no_store(tmp_path):
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("via", ["run_plan", "sweep run"])
+def test_failed_plan_leaves_no_store_and_an_old_store_untouched(tmp_path, capsys, via):
+    # lambda_w = 1e308 is finite, so the plan is accepted, and the kernel build
+    # overflows only after the plan has been checked against the data.
+    plan = tmp_path / "plan.txt"
+    store = tmp_path / "store"
+
+    def run(lambda_w):
+        plan.write_text(
+            "sizes = 4,8,16\ndepth = 2\ninput_dim = 3\ntest_size = 8\nval_size = 4\n"
+            "lambda_w = %r\noutput_dir = %s\n" % (lambda_w, store)
+        )
+        if via == "sweep run":
+            return cli_main(["sweep", "run", "--plan", str(plan)]), capsys.readouterr().err
+        try:
+            run_plan(*plan_from_file(str(plan)))
+        except ValueError as exc:
+            return 1, json.dumps({"error": "ValueError", "message": str(exc)}) + "\n"
+        return 0, ""
+
+    failed = (1, '{"error": "ValueError", "message": "K or Theta contains non-finite entries"}\n')
+    assert run(1e308) == failed
+    assert not store.exists()
+    assert run(1.0) == (0, "")
+    before = {p.name: p.read_bytes() for p in store.iterdir()}
+    assert run(1e308) == failed
+    assert {p.name: p.read_bytes() for p in store.iterdir()} == before
+
+
 @pytest.mark.parametrize(
     "network, ensemble_size, message",
     [
@@ -871,6 +901,7 @@ def test_cli_infwidth_predict(tmp_path, capsys):
     )
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)
+    assert list(rec) == ["mu_L", "var_L", "eps_L", "n_test", "n_out", "method"]
     assert rec["n_test"] == 2
     assert rec["mu_L"] > 0
     assert (tmp_path / "post.jsonl").exists()

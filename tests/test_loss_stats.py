@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from ntkuq import (
+    EnsembleSummary,
     LossStats,
     PredictivePosterior,
-    coefficient_of_variation,
     loss_mean,
     loss_stats,
     loss_variance,
     mc_loss_moments,
 )
+from oracles import loss_variance_longdouble
 
 
 def _posterior(mean, cov):
@@ -60,28 +61,27 @@ def test_moments_match_monte_carlo():
         assert abs(var - mc_var) <= 4.0 * se_var
 
 
-def test_coefficient_of_variation():
-    stats = LossStats(mu_L=0.5, var_L=0.125, eps_L=0.0, n_test=1, n_out=1)
-    assert coefficient_of_variation(stats) == pytest.approx(0.7071068, abs=1e-7)
-    assert coefficient_of_variation(
-        LossStats(mu_L=0.5, var_L=0.0, eps_L=0.0, n_test=1, n_out=1)
-    ) == 0.0
-    undefined = coefficient_of_variation(
-        LossStats(mu_L=0.0, var_L=0.1, eps_L=0.0, n_test=1, n_out=1)
+def test_loss_stats_derives_eps():
+    # eps_L = sigma_L / mu_L is derived from the object's own mu_L and var_L,
+    # and is NaN exactly when mu_L <= 0; it cannot be given.
+    assert LossStats(mu_L=0.5, var_L=0.125, n_test=1, n_out=1).eps_L == pytest.approx(
+        0.7071068, abs=1e-7
     )
-    assert np.isnan(undefined)
-
-
-def test_one_eps_rule():
-    # eps_L is defined only when mu_L > 0, in loss_stats and coefficient_of_variation alike
+    assert LossStats(mu_L=0.5, var_L=0.0, n_test=1, n_out=1).eps_L == 0.0
+    for mu in (0.0, -0.5):
+        assert np.isnan(LossStats(mu_L=mu, var_L=0.125, n_test=1, n_out=1).eps_L)
     post, labels = _random_case(3, n_test=4, n_out=2)
     stats = loss_stats(post, labels)
-    assert stats.eps_defined and stats.eps_L == coefficient_of_variation(stats)
+    assert stats.mu_L > 0 and stats.eps_L == float(np.sqrt(stats.var_L) / stats.mu_L)
     zero = loss_stats(_posterior(labels, np.zeros((4, 4))), labels)
-    assert zero.mu_L == 0.0 and not zero.eps_defined
-    assert np.isnan(zero.eps_L) and np.isnan(coefficient_of_variation(zero))
-    negative = LossStats(mu_L=-0.5, var_L=0.125, eps_L=0.0, n_test=1, n_out=1)
-    assert np.isnan(coefficient_of_variation(negative))
+    assert zero.mu_L == 0.0 and np.isnan(zero.eps_L)
+    with pytest.raises(TypeError):
+        LossStats(mu_L=0.5, var_L=0.125, eps_L=0.0, n_test=1, n_out=1)
+    summary = dict(records=[], mu_L=0.5, var_L=0.125, eps_se=0.0, mu_se=0.0, sigma_se=0.0,
+                   n_ok=2, n_diverged=0)
+    assert EnsembleSummary(**summary).eps_L == LossStats(0.5, 0.125, 1, 1).eps_L
+    with pytest.raises(TypeError):
+        EnsembleSummary(**summary, eps_L=0.0)
 
 
 def test_eps_scale_invariance():
@@ -119,6 +119,21 @@ def test_scalar_formulas_match_general_path():
     assert loss_variance(post, labels) == pytest.approx(var_direct, rel=1e-12)
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is not an extended format here"
+)
+@pytest.mark.parametrize("n_out", [1, 2])
+def test_variance_keeps_its_digits_at_small_eps(n_out):
+    # At eps_L < 0.01 a float64 E[L^2] - mu_L^2 cancels about log10(1/eps_L^2) digits:
+    # here it is 1.6e-12 (n_out 1) and 4.8e-12 (n_out 2) off the oracle. The Wick sum
+    # subtracts nothing.
+    post, labels = _random_case(0, n_test=32, n_out=n_out, scale=1e-3)
+    stats = loss_stats(post, labels)
+    assert stats.eps_L < 0.01
+    want = loss_variance_longdouble(post.mean, post.cov, labels)
+    assert abs(np.longdouble(stats.var_L) - want) <= 1e-14 * want
+
+
 def test_permutation_invariance():
     post, labels = _random_case(7, n_test=5, n_out=2)
     perm = np.random.default_rng(8).permutation(5)
@@ -137,8 +152,8 @@ def test_nonnegativity_random_instances():
 
 
 def test_zero_covariance_gives_zero_variance_at_any_label_scale():
-    # E[L^2] - mu_L^2 cancels to round-off that grows with the loss. An absolute
-    # tolerance raised on about a quarter of these draws at scale 100 and above.
+    # Zero covariance makes both Wick terms exactly 0 at any loss scale. A raw-moment
+    # difference E[L^2] - mu_L^2 cancels to round-off that grows with the loss instead.
     rng = np.random.default_rng(0)
     for n_test in (3, 5, 12):
         post = _posterior(np.zeros((n_test, 1)), np.zeros((n_test, n_test)))
