@@ -61,13 +61,17 @@ def test_moments_match_monte_carlo():
         assert abs(var - mc_var) <= 4.0 * se_var
 
 
-def test_loss_stats_derives_eps():
-    # eps_L = sigma_L / mu_L is derived from the object's own mu_L and var_L,
-    # and is NaN exactly when mu_L <= 0; it cannot be given.
+def test_coefficient_of_variation():
+    # eps_L = sigma_L / mu_L is derived from the object's own mu_L and var_L.
     assert LossStats(mu_L=0.5, var_L=0.125, n_test=1, n_out=1).eps_L == pytest.approx(
         0.7071068, abs=1e-7
     )
     assert LossStats(mu_L=0.5, var_L=0.0, n_test=1, n_out=1).eps_L == 0.0
+    assert np.isnan(LossStats(mu_L=0.0, var_L=0.1, n_test=1, n_out=1).eps_L)
+
+
+def test_one_eps_rule():
+    # eps_L is defined only when mu_L > 0, in LossStats, loss_stats and EnsembleSummary alike
     for mu in (0.0, -0.5):
         assert np.isnan(LossStats(mu_L=mu, var_L=0.125, n_test=1, n_out=1).eps_L)
     post, labels = _random_case(3, n_test=4, n_out=2)
@@ -75,11 +79,18 @@ def test_loss_stats_derives_eps():
     assert stats.mu_L > 0 and stats.eps_L == float(np.sqrt(stats.var_L) / stats.mu_L)
     zero = loss_stats(_posterior(labels, np.zeros((4, 4))), labels)
     assert zero.mu_L == 0.0 and np.isnan(zero.eps_L)
+    summary = dict(records=[], mu_L=0.5, var_L=0.125, eps_se=0.0, mu_se=0.0, sigma_se=0.0,
+                   n_ok=2, n_diverged=0)
+    assert EnsembleSummary(**summary).eps_L == LossStats(0.5, 0.125, 1, 1).eps_L
+    assert np.isnan(EnsembleSummary(**{**summary, "mu_L": 0.0}).eps_L)
+
+
+def test_loss_stats_derives_eps():
+    # eps_L is derived from mu_L and var_L; it cannot be given.
     with pytest.raises(TypeError):
         LossStats(mu_L=0.5, var_L=0.125, eps_L=0.0, n_test=1, n_out=1)
     summary = dict(records=[], mu_L=0.5, var_L=0.125, eps_se=0.0, mu_se=0.0, sigma_se=0.0,
                    n_ok=2, n_diverged=0)
-    assert EnsembleSummary(**summary).eps_L == LossStats(0.5, 0.125, 1, 1).eps_L
     with pytest.raises(TypeError):
         EnsembleSummary(**summary, eps_L=0.0)
 
