@@ -18,14 +18,11 @@ from .infwidth import (
     bayesian_posterior,
     closed_form_posterior,
     gd_evolve,
-    load_posterior_jsonl,
     save_posterior_jsonl,
 )
 from .loss_stats import (
     LossStats,
-    loss_mean,
     loss_stats,
-    loss_variance,
     mc_loss_moments,
 )
 from .finite_width import (

@@ -8,7 +8,7 @@ Three routes to the Gaussian posterior over test outputs:
 
 import contextlib
 import ctypes
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import functools
 import json
 
@@ -26,7 +26,6 @@ __all__ = [
     "gd_evolve",
     "bayesian_posterior",
     "save_posterior_jsonl",
-    "load_posterior_jsonl",
 ]
 
 RCOND_LIMIT = 1e-12
@@ -40,50 +39,41 @@ class PredictivePosterior:
 
     mean has one row per test point and one column per output neuron; cov
     is shared across output columns and cross-output covariance is exactly
-    zero. A diagonal-only posterior gives var (the per-point variances) and
-    cov=None; otherwise var is the diagonal of cov. Give exactly one. cov
-    must be finite and positive semi-definite to round-off.
+    zero. cov must be finite and positive semi-definite to round-off. var,
+    the per-point variances, is the diagonal of cov and cannot be given.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     method: str
     steps_used: int = 0
-    var: np.ndarray = None
+    var: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if (self.cov is None) == (self.var is None):
-            raise ValueError("give exactly one of cov and var (diagonal only)")
-        if self.cov is None:
-            var = np.asarray(self.var, dtype=float)
-            if var.ndim != 1 or not np.all(var >= 0):
-                raise ValueError("var must be a 1-D array of variances >= 0")
-        else:
-            cov = np.asarray(self.cov, dtype=float)
-            if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-                raise ValueError("cov shape %s is not square" % (cov.shape,))
-            cov = _symmetric(cov, "cov", 1e-10)
-            d = np.diag(cov).copy()
-            if np.any(d < -VAR_CLAMP):
-                raise ValueError("cov diagonal below -%g" % VAR_CLAMP)
-            neg = d < 0
-            if np.any(neg):
-                cov = cov.copy()
-                cov[np.diag_indices_from(cov)] = np.where(neg, 0.0, d)
-            # PSD to round-off: dpotrf factors cov + delta I in place, on one BLAS
-            # thread so that no idle pool worker spins into the next stage.
-            delta = max(1e-9 * d.max(initial=0.0), VAR_CLAMP)
-            ridged = np.array(cov, order="F")
-            ridged[np.diag_indices_from(ridged)] += delta
-            with _one_blas_thread():
-                info = lapack.dpotrf(ridged, overwrite_a=1, clean=0)[1]
-            if info or not np.all(np.isfinite(cov)):
-                raise ValueError("cov is not finite and positive semi-definite (to %g)" % delta)
-            cov.setflags(write=False)
-            object.__setattr__(self, "cov", cov)
-            var = np.diag(cov)
-        object.__setattr__(self, "mean", label_matrix(self.mean, var.size))
-        object.__setattr__(self, "var", var)
+        cov = np.asarray(self.cov, dtype=float)
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+            raise ValueError("cov shape %s is not square" % (cov.shape,))
+        cov = _symmetric(cov, "cov", 1e-10)
+        d = np.diag(cov).copy()
+        if np.any(d < -VAR_CLAMP):
+            raise ValueError("cov diagonal below -%g" % VAR_CLAMP)
+        neg = d < 0
+        if np.any(neg):
+            cov = cov.copy()
+            cov[np.diag_indices_from(cov)] = np.where(neg, 0.0, d)
+        # PSD to round-off: dpotrf factors cov + delta I in place, on one BLAS
+        # thread so that no idle pool worker spins into the next stage.
+        delta = max(1e-9 * d.max(initial=0.0), VAR_CLAMP)
+        ridged = np.array(cov, order="F")
+        ridged[np.diag_indices_from(ridged)] += delta
+        with _one_blas_thread():
+            info = lapack.dpotrf(ridged, overwrite_a=1, clean=0)[1]
+        if info or not np.all(np.isfinite(cov)):
+            raise ValueError("cov is not finite and positive semi-definite (to %g)" % delta)
+        cov.setflags(write=False)
+        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "mean", label_matrix(self.mean, cov.shape[0]))
+        object.__setattr__(self, "var", np.diag(cov))
 
     @property
     def n_test(self):
@@ -296,14 +286,14 @@ def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, validation_ids, vali
     M[:, :n_train] -= eta * Theta_jA
     c = eta * (Theta_jA @ y)
 
-    # Compose check_every steps into a single affine map so each check
-    # costs one matrix triple product; the dynamics are unchanged. When
-    # check_every does not divide max_steps, the last check takes the map
-    # of the remaining steps, composed on the way.
+    # Compose check_every steps (never more than max_steps) into a single
+    # affine map so each check costs one matrix triple product; the dynamics
+    # are unchanged. When check_every does not divide max_steps, the last
+    # check takes the map of the remaining steps, composed on the way.
     tail = stop.max_steps % stop.check_every
     A = np.eye(n)
     b = np.zeros_like(c)
-    for k in range(1, stop.check_every + 1):
+    for k in range(1, min(stop.check_every, stop.max_steps) + 1):
         b = M @ b + c
         A = M @ A
         if k == tail:
@@ -368,29 +358,3 @@ def save_posterior_jsonl(post, path, ids=None):
                 "steps_used": int(post.steps_used),
             }
             f.write(json.dumps(rec) + "\n")
-
-
-def load_posterior_jsonl(path):
-    """Rebuild a diagonal-only posterior from the JSON-lines export.
-
-    The full covariance is not stored in this format, so cov is None and
-    operations needing off-diagonals must use the binary matrix export.
-    Every record must carry the same method and steps_used.
-    """
-    means, variances, ids, routes = [], [], [], set()
-    with open(path) as f:
-        for line in f:
-            rec = json.loads(line)
-            if "method" not in rec or "steps_used" not in rec:
-                raise ValueError("posterior record %d has no method or steps_used" % len(ids))
-            ids.append(rec["id"])
-            means.append(rec["mean"])
-            variances.append(rec["var"])
-            routes.add((rec["method"], rec["steps_used"]))
-    if len(routes) != 1:
-        raise ValueError("posterior records need one method and steps_used: %s" % sorted(routes))
-    ((method, steps_used),) = routes
-    post = PredictivePosterior(
-        mean=means, cov=None, method=method, steps_used=steps_used, var=variances
-    )
-    return post, np.asarray(ids)

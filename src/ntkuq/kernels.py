@@ -306,6 +306,4 @@ def load_kernel_pair(path):
         (n,) = struct.unpack("<Q", header)
         payload = _read_payload(f, 2 * n * n * 8, "kernel file")
     flat = np.frombuffer(payload, dtype="<f8")
-    K = flat[: n * n].reshape(n, n).copy()
-    Theta = flat[n * n :].reshape(n, n).copy()
-    return KernelPair(K=K, Theta=Theta)
+    return KernelPair(K=flat[: n * n].reshape(n, n), Theta=flat[n * n :].reshape(n, n))

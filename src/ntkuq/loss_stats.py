@@ -17,8 +17,6 @@ from .kernels import label_matrix
 
 __all__ = [
     "LossStats",
-    "loss_mean",
-    "loss_variance",
     "mc_loss_moments",
     "loss_stats",
 ]
@@ -45,34 +43,27 @@ def _residuals(post, labels):
     return label_matrix(labels, post.n_test, post.n_out) - post.mean
 
 
-def loss_mean(post, labels):
-    """Mean of the test MSE loss over the ensemble.
+def _mean_loss(var, delta):
+    """mu_L from the per-point output variances and the (points, n_out) residuals.
 
     mu_L = 1/(2 B n_out) * sum_b (n_out * Sigma_bb + ||Delta_b||^2).
     """
-    return _mean_loss(post.var, _residuals(post, labels))
-
-
-def _mean_loss(var, delta):
-    """mu_L from the per-point output variances and the (points, n_out) residuals."""
     b, n_out = delta.shape
     per_point = n_out * var + np.sum(delta * delta, axis=1)
     return float(np.sum(per_point) / (2.0 * b * n_out))
 
 
-def loss_variance(post, labels):
-    """Variance of the test MSE loss over the ensemble.
+def _eps(mu, var):
+    """eps_L = sqrt(var) / mu, defined only when mu > 0; NaN otherwise."""
+    return float(np.sqrt(var) / mu) if mu > 0 else float("nan")
 
-    Requires the full test-test covariance; the off-diagonal entries
-    enter through the Frobenius and bilinear terms of the Wick sum.
+
+def loss_stats(post, labels):
+    """mu_L and var_L of a posterior/label pair, as LossStats (which derives eps_L).
+
+    Both come from one residual matrix; the off-diagonal entries of cov
+    enter var_L through the Frobenius and bilinear terms of the Wick sum.
     """
-    return _moments(post, labels)[1]
-
-
-def _moments(post, labels):
-    """(mu_L, var_L), each computed once from one residual matrix."""
-    if post.cov is None:
-        raise ValueError("loss_variance needs the full covariance, not just the diagonal")
     delta = _residuals(post, labels)
     b, n_out = delta.shape
     S = post.cov
@@ -84,17 +75,6 @@ def _moments(post, labels):
         if var < -_VAR_RTOL * mu * mu:
             raise ValueError("loss variance %g below round-off tolerance" % var)
         var = 0.0
-    return mu, var
-
-
-def _eps(mu, var):
-    """eps_L = sqrt(var) / mu, defined only when mu > 0; NaN otherwise."""
-    return float(np.sqrt(var) / mu) if mu > 0 else float("nan")
-
-
-def loss_stats(post, labels):
-    """mu_L and var_L of a posterior/label pair, as LossStats (which derives eps_L)."""
-    mu, var = _moments(post, labels)
     return LossStats(
         mu_L=mu,
         var_L=var,
@@ -119,8 +99,6 @@ def mc_loss_moments(post, labels, draws, seed):
     """
     if draws < 1000:
         raise ValueError("draws must be >= 1000")
-    if post.cov is None:
-        raise ValueError("mc_loss_moments needs the full covariance")
     delta = _residuals(post, labels)
     b, n_out = delta.shape
     F = _psd_factor(post.cov)

@@ -1,4 +1,6 @@
+import json
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,6 @@ from ntkuq import (
     gd_epoch,
     gd_evolve,
     init_network,
-    load_posterior_jsonl,
     loss_stats,
     matrix_element_scan,
     mse_loss,
@@ -215,6 +216,26 @@ def test_gd_evolve_never_steps_past_max_steps():
     assert short.steps_used == 30
 
 
+def test_gd_evolve_composes_at_most_max_steps():
+    # A check_every beyond max_steps composes only the max_steps steps that
+    # run: at 10^7 it gives the bits of check_every = 10, in milliseconds.
+    # Composing check_every steps regardless takes over a minute at 10^7.
+    kp, n_train, n_test, y = _with_dup_train(14)
+    tr = np.arange(n_train)
+    te = np.arange(n_train, n_train + n_test)
+    start = time.perf_counter()
+    big = gd_evolve(
+        kp, tr, te, y, **_dup_train_policy(kp, n_train, n_test, y, check_every=10**7, max_steps=10)
+    )
+    elapsed = time.perf_counter() - start
+    small = gd_evolve(
+        kp, tr, te, y, **_dup_train_policy(kp, n_train, n_test, y, check_every=10, max_steps=10)
+    )
+    assert big.steps_used == small.steps_used == 10
+    assert np.array_equal(big.mean, small.mean) and np.array_equal(big.cov, small.cov)
+    assert elapsed < 5.0
+
+
 def test_eta_independence_of_limits():
     kp, n_train, n_test, y = _with_dup_train(8)
     tr = np.arange(n_train)
@@ -363,16 +384,20 @@ def test_bayesian_variance_reduction():
     assert post.method == "bayesian"
 
 
+def _records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 def test_posterior_jsonl_round_trip(tmp_path):
     kp, tr, te, y = _random_instance(70, n_out=2)
     post = closed_form_posterior(kp, tr, te, y)
     path = tmp_path / "post.jsonl"
     save_posterior_jsonl(post, path, ids=te)
-    loaded, ids = load_posterior_jsonl(path)
-    np.testing.assert_array_equal(ids, te)
-    np.testing.assert_allclose(loaded.mean, post.mean)
-    np.testing.assert_allclose(loaded.var, post.var)
-    assert loaded.cov is None
+    recs = _records(path)
+    assert [r["id"] for r in recs] == te.tolist()
+    np.testing.assert_array_equal([r["mean"] for r in recs], post.mean)
+    np.testing.assert_array_equal([r["var"] for r in recs], post.var)
+    assert {(r["method"], r["steps_used"]) for r in recs} == {("closed_form", 0)}
 
 
 def test_posterior_jsonl_needs_one_id_per_test_point(tmp_path):
@@ -395,12 +420,27 @@ def test_posterior_jsonl_keeps_method_and_steps(tmp_path):
     for post in posts:
         path = tmp_path / (post.method + ".jsonl")
         save_posterior_jsonl(post, path)
-        loaded, _ = load_posterior_jsonl(path)
-        assert (loaded.method, loaded.steps_used) == (post.method, post.steps_used)
-    # a record without the route is rejected, never stamped "closed_form"
-    path.write_text('{"id": 0, "mean": [0.0], "var": 1.0}\n')
-    with pytest.raises(ValueError, match="method"):
-        load_posterior_jsonl(path)
+        recs = _records(path)
+        np.testing.assert_array_equal([r["mean"] for r in recs], post.mean)
+        np.testing.assert_array_equal([r["var"] for r in recs], post.var)
+        assert {(r["method"], r["steps_used"]) for r in recs} == {(post.method, post.steps_used)}
+
+
+def test_posterior_var_is_the_diagonal_of_cov():
+    # var is derived from cov on every route; it cannot be given.
+    kp, n_train, n_test, y = _with_dup_train(73)
+    tr = np.arange(n_train)
+    te = np.arange(n_train, n_train + n_test)
+    pol = _dup_train_policy(kp, n_train, n_test, y, patience=3, check_every=10, max_steps=200)
+    posts = [
+        closed_form_posterior(kp, tr, te, y),
+        bayesian_posterior(kp, tr, te, y),
+        gd_evolve(kp, tr, te, y, **pol),
+    ]
+    for post in posts:
+        assert np.array_equal(post.var, np.diag(post.cov)) and not post.var.flags.writeable
+    with pytest.raises(TypeError):
+        PredictivePosterior(mean=np.zeros((2, 1)), cov=np.eye(2), method="x", var=np.ones(2))
 
 
 def test_posterior_cov_symmetry_tolerance():

@@ -272,6 +272,25 @@ def test_kernel_build_in_place():
     assert np.array_equal(kp.K, K) and np.array_equal(kp.Theta, Theta)
 
 
+def test_kernel_load_in_place(tmp_path):
+    # The loaded pair views the payload it has read, so the load peaks near
+    # 1x the pair; copying K and Theta out of the payload would take it to 2x.
+    X = np.random.default_rng(15).standard_normal((400, 8))
+    kp = build_kernel_pair(InputSet(X), ArchitectureConfig(depth=3, input_dim=8))
+    path = tmp_path / "kernel.bin"
+    save_kernel_pair(kp, path)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = load_kernel_pair(path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (kp.K.nbytes + kp.Theta.nbytes)
+    assert np.array_equal(loaded.K, kp.K) and np.array_equal(loaded.Theta, kp.Theta)
+    assert not loaded.K.flags.writeable and not loaded.Theta.flags.writeable
+
+
 def _untiled_reference(X, arch):
     # The whole-matrix recursion, layer by layer, in plain expressions.
     K = X @ X.T / X.shape[1]

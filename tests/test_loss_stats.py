@@ -5,9 +5,7 @@ from ntkuq import (
     EnsembleSummary,
     LossStats,
     PredictivePosterior,
-    loss_mean,
     loss_stats,
-    loss_variance,
     mc_loss_moments,
 )
 from oracles import loss_variance_longdouble
@@ -28,34 +26,34 @@ def _random_case(seed, n_test=4, n_out=1, scale=1.0):
 
 def test_mean_zero_for_perfect_predictor():
     post = _posterior(np.ones((3, 1)), np.zeros((3, 3)))
-    assert loss_mean(post, np.ones((3, 1))) == 0.0
+    assert loss_stats(post, np.ones((3, 1))).mu_L == 0.0
 
 
 def test_mean_half_variance_single_point():
     s = 0.7
     post = _posterior(np.zeros((1, 1)), np.array([[s]]))
-    assert loss_mean(post, np.zeros((1, 1))) == pytest.approx(s / 2.0)
+    assert loss_stats(post, np.zeros((1, 1))).mu_L == pytest.approx(s / 2.0)
 
 
 def test_variance_zero_for_deterministic_outputs():
     rng = np.random.default_rng(0)
     post = _posterior(rng.standard_normal((4, 2)), np.zeros((4, 4)))
-    assert loss_variance(post, rng.standard_normal((4, 2))) == 0.0
+    assert loss_stats(post, rng.standard_normal((4, 2))).var_L == 0.0
 
 
 def test_variance_single_point_chi_squared():
     # loss = s * chi2_1 / 2, so var = s^2 / 2
     post = _posterior(np.zeros((1, 1)), np.array([[1.0]]))
-    assert loss_variance(post, np.zeros((1, 1))) == pytest.approx(0.5)
+    assert loss_stats(post, np.zeros((1, 1))).var_L == pytest.approx(0.5)
     post = _posterior(np.zeros((1, 1)), np.array([[0.3]]))
-    assert loss_variance(post, np.zeros((1, 1))) == pytest.approx(0.045)
+    assert loss_stats(post, np.zeros((1, 1))).var_L == pytest.approx(0.045)
 
 
 def test_moments_match_monte_carlo():
     for seed, n_out in [(1, 1), (2, 3), (3, 2), (4, 1)]:
         post, labels = _random_case(seed, n_test=4, n_out=n_out)
-        mu = loss_mean(post, labels)
-        var = loss_variance(post, labels)
+        stats = loss_stats(post, labels)
+        mu, var = stats.mu_L, stats.var_L
         mc_mu, mc_var, se_mu, se_var = mc_loss_moments(post, labels, 200_000, seed=seed)
         assert abs(mu - mc_mu) <= 4.0 * se_mu
         assert abs(var - mc_var) <= 4.0 * se_var
@@ -114,7 +112,7 @@ def test_scalar_formulas_match_general_path():
     S = np.asarray(post.cov)
     b = 6
     mu_direct = float(np.sum(delta[:, 0] ** 2 + np.diag(S)) / (2 * b))
-    assert loss_mean(post, labels) == mu_direct
+    assert loss_stats(post, labels).mu_L == mu_direct
     e_l2 = 0.0
     for i in range(b):
         for j in range(b):
@@ -127,7 +125,7 @@ def test_scalar_formulas_match_general_path():
                 + delta[i, 0] ** 2 * delta[j, 0] ** 2
             )
     var_direct = e_l2 / (4 * b * b) - mu_direct**2
-    assert loss_variance(post, labels) == pytest.approx(var_direct, rel=1e-12)
+    assert loss_stats(post, labels).var_L == pytest.approx(var_direct, rel=1e-12)
 
 
 @pytest.mark.skipif(
@@ -158,8 +156,9 @@ def test_permutation_invariance():
 def test_nonnegativity_random_instances():
     for seed in range(10):
         post, labels = _random_case(100 + seed, n_test=3, n_out=2)
-        assert loss_mean(post, labels) >= 0.0
-        assert loss_variance(post, labels) >= 0.0
+        stats = loss_stats(post, labels)
+        assert stats.mu_L >= 0.0
+        assert stats.var_L >= 0.0
 
 
 def test_zero_covariance_gives_zero_variance_at_any_label_scale():
@@ -191,32 +190,18 @@ def test_negative_loss_variance_raises_at_any_scale():
             loss_stats(post, labels)
 
 
-def test_variance_requires_full_covariance():
-    post = PredictivePosterior(mean=np.zeros((2, 1)), cov=None, method="closed_form", var=np.ones(2))
-    with pytest.raises(ValueError):
-        loss_variance(post, np.zeros((2, 1)))
-    # the mean only needs the diagonal
-    assert loss_mean(post, np.zeros((2, 1))) == pytest.approx(0.5)
-
-
 def test_diagonal_only_posterior():
+    # a diagonal covariance: var is its diagonal, and mu_L reads only that
     var = np.array([1.0, 3.0])
-    post = PredictivePosterior(mean=np.zeros((2, 1)), cov=None, method="closed_form", var=var)
-    assert loss_mean(post, np.zeros((2, 1))) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        mc_loss_moments(post, np.zeros((2, 1)), 1000, seed=0)
     full = PredictivePosterior(mean=np.zeros((2, 1)), cov=np.diag(var), method="closed_form")
     np.testing.assert_array_equal(full.var, var)
-    # exactly one of cov and var, and var must fit the mean
-    for cov, v in ((np.diag(var), var), (None, None), (None, np.ones(3)), (None, -var)):
-        with pytest.raises(ValueError):
-            PredictivePosterior(mean=np.zeros((2, 1)), cov=cov, method="x", var=v)
+    assert loss_stats(full, np.zeros((2, 1))).mu_L == pytest.approx(1.0)
 
 
 def test_dimension_mismatch_rejected():
     post, labels = _random_case(9)
     with pytest.raises(ValueError):
-        loss_mean(post, np.zeros((7, 1)))
+        loss_stats(post, np.zeros((7, 1)))
 
 
 def test_mc_deterministic_case():
