@@ -7,15 +7,19 @@ each cell and persists rows for plotting and power-law fitting.
 
 The analytic cells of one lambda_b share a single kernel over the largest
 training set plus the validation and test points; each cell indexes into
-it. Only one lambda_b's kernel is alive at a time, so peak memory is the
-largest cell's kernel. Bayesian cells use K alone, which does not depend
-on lambda_b, so each is computed once per size and its row, or its skip
+it. Bayesian cells use K alone, which does not depend on lambda_b, so each
+is computed once per size, at the first lambda_b, and its row, or its skip
 record, repeated for every lambda_b. A plan whose analytic cells are all
-Bayesian builds one kernel.
+Bayesian builds one kernel. The lambda_b values whose kernels a plan builds
+run on forked worker processes, one kernel per worker at a time, so up to
+min(#lambda_b, usable cores) kernels are alive at once, across processes.
+With one such lambda_b, or one usable core, they run in this process, one
+kernel at a time.
 """
 
 from dataclasses import asdict, dataclass, field, replace
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -26,7 +30,9 @@ import numpy as np
 from .errors import IllConditionedError, NtkuqError
 from .datasets import DATASET_SETTINGS, dataset_from_spec, read_setting, split_arrays, split_ids
 from .kernels import ArchitectureConfig, InputSet, build_kernel_pair
-from .infwidth import bayesian_posterior, closed_form_posterior, gd_evolve
+from .infwidth import (
+    _fork_map, _usable_cores, bayesian_posterior, closed_form_posterior, gd_evolve
+)
 from .loss_stats import loss_stats
 from .finite_width import TrainConfig, run_ensemble
 from .scaling import epsilon_flatness_check, fit_power_law
@@ -164,6 +170,25 @@ def _cell_outcome(kp, labels, n_d, val_ids, test_ids, bayesian):
         return str(exc)
 
 
+def _kernel_outcomes(inputs, labels, sizes, val_ids, test_ids, infinite, unit):
+    """[{series: _cell_outcome} for each size] of one lambda_b: run_plan's unit of work.
+
+    unit is (arch, bayesian). Builds arch's kernel over inputs, then runs
+    each size's infinite-width cell when `infinite` and its Bayesian cell
+    when `bayesian`. The kernel is freed on return.
+    """
+    arch, bayesian = unit
+    kp = build_kernel_pair(inputs, arch)
+    series = [name for name, run in (("infinite", infinite), ("bayesian", bayesian)) if run]
+    return [
+        {
+            name: _cell_outcome(kp, labels, n_d, val_ids, test_ids, bayesian=name == "bayesian")
+            for name in series
+        }
+        for n_d in sizes
+    ]
+
+
 def _cell_groups(infwidth_rows, summary_rows):
     """{label: cells} of the rows, as dicts with sigma_L, under the cell key (series, lambda_b).
 
@@ -204,7 +229,11 @@ def run_plan(plan, dataset):
     skipped.jsonl record with the message of the NtkuqError that skipped it.
     Rows are built from INFWIDTH_COLUMNS, SUMMARY_COLUMNS and FIT_COLUMNS;
     an ensemble.jsonl record is the cell, width and optimizer, then the
-    EnsembleRunRecord's fields, then config_hash.
+    EnsembleRunRecord's fields, then config_hash. The lambda_b values' kernels
+    and analytic cells run on forked workers (see the module docstring), which
+    needs a POSIX fork; the ensemble cells run here, each on its own pool. An
+    exception in a worker propagates with its type, and every worker has
+    exited when run_plan returns or raises.
     """
     dataset.check_shape(input_dim=plan.arch.input_dim, n_out=plan.arch.n_out)
     cfg_hash = _config_hash(plan, dataset)
@@ -227,31 +256,37 @@ def run_plan(plan, dataset):
     kernel_val = np.arange(n_max, n_max + val_ids.size)
     kernel_test = np.arange(n_max + val_ids.size, kernel_rows.size)
     # lambda_b enters Theta only, so a Bayesian cell (which uses K alone) is
-    # solved once per N_D, at the first lambda_b; bayes[N_D] is its outcome
-    # for every lambda_b.
-    bayes = {}
+    # solved once per N_D, on the first lambda_b's kernel, and its outcome
+    # stands for every lambda_b. After the first, only the infinite-width
+    # cells need a kernel.
+    units = [
+        (replace(plan.arch, lambda_b=lam_b), plan.bayesian and lam_index == 0)
+        for lam_index, lam_b in enumerate(lambdas)
+        if plan.infinite_width or (plan.bayesian and lam_index == 0)
+    ]
+    task = functools.partial(
+        _kernel_outcomes, kernel_inputs, kernel_labels, plan.sizes, kernel_val, kernel_test,
+        plan.infinite_width,
+    )
+    # The units are independent. The kernel build's bits do not depend on the
+    # BLAS thread count and the solves run on one thread anyway, so a unit gives
+    # the same bits on a forked worker's one thread as here. One unit, or one
+    # core, gains nothing from a pool.
+    if len(units) > 1 and _usable_cores() > 1:
+        outcomes = _fork_map(task, units)
+    else:
+        outcomes = [task(unit) for unit in units]
 
     for lam_index, lam_b in enumerate(lambdas):
         arch = replace(plan.arch, lambda_b=lam_b)
-        # Release the previous kernel before building the next; after the
-        # first lambda_b, only the infinite-width cells need one.
-        kp = None
-        if plan.infinite_width or (plan.bayesian and lam_index == 0):
-            kp = build_kernel_pair(kernel_inputs, arch)
         for size_index, n_d in enumerate(plan.sizes):
             cell = {"N_D": n_d, "lambda_b": lam_b}
-            outcomes = {}
+            found = {}
             if plan.infinite_width:
-                outcomes["infinite"] = _cell_outcome(
-                    kp, kernel_labels, n_d, kernel_val, kernel_test, bayesian=False
-                )
+                found["infinite"] = outcomes[lam_index][size_index]["infinite"]
             if plan.bayesian:
-                if n_d not in bayes:
-                    bayes[n_d] = _cell_outcome(
-                        kp, kernel_labels, n_d, kernel_val, kernel_test, bayesian=True
-                    )
-                outcomes["bayesian"] = bayes[n_d]
-            for name, outcome in outcomes.items():
+                found["bayesian"] = outcomes[0][size_index]["bayesian"]
+            for name, outcome in found.items():
                 if isinstance(outcome, str):
                     skipped.append({"series": name, **cell, "error": outcome})
                     continue

@@ -6,18 +6,15 @@ kernel statistics at initialization and follow the linearized GD
 dynamics during training.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 import functools
 import math
-import multiprocessing
-import os
 
 import numpy as np
 from scipy.special import erf
 
 from .errors import DivergenceError
-from .infwidth import _diverged, _one_blas_thread
+from .infwidth import _diverged, _fork_map
 from .kernels import _point_rows, label_matrix
 from .loss_stats import _eps
 
@@ -333,14 +330,6 @@ def _sample_eps(losses):
     return _eps(losses.mean(), losses.var(ddof=1))
 
 
-def _usable_cores():
-    """The cores this process may run on; os.cpu_count() where affinity is unknown."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _train_member(split, arch, cfg, seed):
     """The record of the member with init seed `seed`; run_ensemble's pool task."""
     return train_with_early_stopping(
@@ -369,15 +358,7 @@ def run_ensemble(split, arch, cfg, n_members, base_seed):
         raise ValueError("an ensemble needs at least 2 members")
     cfg = replace(cfg, eta=cfg.eta / max(arch.lambda_b, 1.0))
     seeds = range(base_seed, base_seed + n_members)
-    with _one_blas_thread():
-        pool = ProcessPoolExecutor(
-            max_workers=min(n_members, _usable_cores()),
-            mp_context=multiprocessing.get_context("fork"),
-        )
-        try:
-            records = list(pool.map(functools.partial(_train_member, split, arch, cfg), seeds))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    records = _fork_map(functools.partial(_train_member, split, arch, cfg), seeds)
 
     ok = np.array(
         [r.final_test_loss for r in records if r.stop_reason != "divergence"]

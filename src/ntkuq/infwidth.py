@@ -6,11 +6,14 @@ Three routes to the Gaussian posterior over test outputs:
   * the Bayesian variant, with the NTK replaced by the kernel.
 """
 
+from concurrent.futures import ProcessPoolExecutor
 import contextlib
 import ctypes
 from dataclasses import dataclass, field
 import functools
 import json
+import multiprocessing
+import os
 
 import numpy as np
 from scipy.linalg import lapack
@@ -170,21 +173,56 @@ def _one_blas_thread():
     # pool's workers spin for a while after each call, so with both pools at 2
     # threads, 3 threads share 2 cores; one thread per pool is faster. It also
     # keeps the solve's bits independent of the thread count, which at some
-    # shapes changes how OpenBLAS rounds a GEMM. finite_width.run_ensemble forks
-    # its worker processes inside the context (which needs a POSIX fork), so
-    # each member trains on one thread too. The count is process-wide: a
-    # caller's own threads run their BLAS calls on one thread meanwhile, and
-    # two threads entering the context at once could restore each other's count,
-    # so run_ensemble should not be called from several threads at once.
-    pools = _openblas_pools()
-    saved = [get() for get, _ in pools]
-    for _, set_ in pools:
-        set_(1)
+    # shapes changes how OpenBLAS rounds a GEMM. _fork_map forks its worker
+    # processes inside the context (which needs a POSIX fork), so each worker
+    # runs on one thread too. A pool whose count is already 1 is left alone: a
+    # forked worker inherits the count but not the pool's server threads, and
+    # setting the count, even to 1, starts a fresh server thread that spins
+    # beside the worker. The count is process-wide: a caller's own threads run
+    # their BLAS calls on one thread meanwhile, and two threads entering the
+    # context at once could restore each other's count, so run_ensemble and
+    # run_plan should not be called from several threads at once.
+    saved = []
+    for get, set_ in _openblas_pools():
+        n = get()
+        if n != 1:
+            set_(1)
+            saved.append((set_, n))
     try:
         yield
     finally:
-        for (_, set_), n in zip(pools, saved):
+        for set_, n in saved:
             set_(n)
+
+
+def _usable_cores():
+    """The cores this process may run on; os.cpu_count() where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fork_map(fn, items):
+    """[fn(item) for item in items], on min(len(items), usable cores) forked workers.
+
+    The workers are forked inside _one_blas_thread, so each runs its BLAS
+    calls on one thread and fn's results keep the bits of a one-thread call
+    in this process. fn and the items are pickled; fn may be a module-level
+    function or a functools.partial of one. Results come back in input
+    order. An exception in fn propagates, with its type, once the running
+    items finish; the items not yet started are cancelled. Every worker has
+    exited when _fork_map returns or raises.
+    """
+    with _one_blas_thread():
+        pool = ProcessPoolExecutor(
+            max_workers=min(len(items), _usable_cores()),
+            mp_context=multiprocessing.get_context("fork"),
+        )
+        try:
+            return list(pool.map(fn, items))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _solve(M_A, rhs, name):

@@ -32,6 +32,7 @@ from ntkuq.infwidth import EarlyStopPolicy, bayesian_posterior, closed_form_post
 from ntkuq.kernels import build_kernel_pair
 from ntkuq.loss_stats import loss_stats
 from ntkuq.scaling import fit_power_law
+from pools import _log, _logged, _pool_workers
 
 
 # ---------------------------------------------------------------- datasets
@@ -485,28 +486,32 @@ def test_run_plan_builds_one_kernel_per_lambda_b(tmp_path, monkeypatch):
     from ntkuq import experiment
     from ntkuq.finite_width import TrainConfig
 
-    calls = []
+    # The kernels are built in worker processes, which report through a file.
+    made = _pool_workers(monkeypatch, 2)
+    calls = tmp_path / "calls"
 
     def counting_build(inputs, arch):
-        calls.append(arch.lambda_b)
+        _log(calls, arch.lambda_b)
         return build_kernel_pair(inputs, arch)
 
     monkeypatch.setattr(experiment, "build_kernel_pair", counting_build)
     plan = _small_plan(tmp_path / "a", lambda_b_sweep=[0.5, 1.0, 2.0], bayesian=True)
     result = run_plan(plan, _small_dataset())
-    assert calls == [0.5, 1.0, 2.0]
+    # Two workers build the three kernels, so the calls' order is not fixed.
+    assert sorted(_logged(calls)) == [0.5, 1.0, 2.0]
+    assert made == [2]
     assert len(result.infwidth_rows) == 18
 
     # Bayesian cells use K alone, which the first lambda_b's kernel holds.
-    calls.clear()
+    calls.unlink()
     plan = _small_plan(
         tmp_path / "c", lambda_b_sweep=[0.5, 1.0, 2.0], bayesian=True, infinite_width=False
     )
     result = run_plan(plan, _small_dataset())
-    assert calls == [0.5]
+    assert _logged(calls) == [0.5]
     assert len(result.infwidth_rows) == 9
 
-    calls.clear()
+    calls.unlink()
     plan = _small_plan(
         tmp_path / "b",
         sizes=[4, 8],
@@ -515,7 +520,7 @@ def test_run_plan_builds_one_kernel_per_lambda_b(tmp_path, monkeypatch):
         train_cfg=TrainConfig(eta=0.5, patience=5, max_epochs=10),
     )
     result = run_plan(plan, _small_dataset())
-    assert calls == []
+    assert _logged(calls) == []
     assert result.infwidth_rows == [] and len(result.summary_rows) == 2
 
 
@@ -524,10 +529,11 @@ def test_run_plan_solves_each_bayesian_cell_once(tmp_path, monkeypatch):
     from ntkuq import experiment
     from ntkuq.finite_width import EnsembleRunRecord, TrainConfig
 
-    calls = []
+    _pool_workers(monkeypatch, 2)
+    calls = tmp_path / "calls"
 
     def counting_bayes(kp, train_ids, test_ids, labels):
-        calls.append(train_ids.size)
+        _log(calls, int(train_ids.size))
         if train_ids.size == 16:
             raise IllConditionedError("K_A is singular")
         return bayesian_posterior(kp, train_ids, test_ids, labels)
@@ -542,7 +548,7 @@ def test_run_plan_solves_each_bayesian_cell_once(tmp_path, monkeypatch):
         train_cfg=TrainConfig(eta=0.5, patience=5, max_epochs=10),
     )
     result = run_plan(plan, _small_dataset())
-    assert calls == [4, 8, 16]
+    assert _logged(calls) == [4, 8, 16]
     bayes = [r for r in result.infwidth_rows if r[0] == "bayesian"]
     assert [(r[1], float(r[2])) for r in bayes] == [
         (n, lam) for lam in lambdas for n in (4, 8)
@@ -624,6 +630,20 @@ def _per_cell_kernel_rows(plan, ds):
     return rows, skipped
 
 
+def _singular_largest_cell(plan, ds):
+    """ds with a training point that only the plan's largest cell uses set to a
+    copy of its second: that cell's train block is then singular, so the closed
+    form falls back to the GD map and the Bayesian cell is skipped, while the
+    smaller cells solve."""
+    from ntkuq.datasets import split_ids
+
+    sizes = plan.sizes
+    _, _, pool = split_ids(ds, plan.master_seed, plan.test_size, plan.val_size, max(sizes))
+    X, Y = ds.inputs.points.copy(), ds.labels.copy()
+    X[pool[sizes[1] + 2]], Y[pool[sizes[1] + 2]] = X[pool[1]], Y[pool[1]]
+    return Dataset(inputs=InputSet(X), labels=Y)
+
+
 @pytest.mark.parametrize(
     "sizes, val_size, exact",
     [
@@ -636,20 +656,10 @@ def _per_cell_kernel_rows(plan, ds):
     ],
 )
 def test_run_plan_rows_match_per_cell_kernels(tmp_path, sizes, val_size, exact):
-    from ntkuq.datasets import split_ids
-
     plan = _small_plan(
         tmp_path, sizes=sizes, val_size=val_size, lambda_b_sweep=[0.5, 2.0], bayesian=True
     )
-    ds = _small_dataset()
-    # Repeat a training point that only the largest cell uses: its train
-    # block is then singular, so the closed form falls back to the GD map
-    # and the Bayesian cell is skipped, while the smaller cells solve.
-    _, _, pool = split_ids(ds, plan.master_seed, plan.test_size, plan.val_size, max(sizes))
-    X, Y = ds.inputs.points.copy(), ds.labels.copy()
-    X[pool[sizes[1] + 2]], Y[pool[sizes[1] + 2]] = X[pool[1]], Y[pool[1]]
-    ds = Dataset(inputs=InputSet(X), labels=Y)
-
+    ds = _singular_largest_cell(plan, _small_dataset())
     result = run_plan(plan, ds)
     want_rows, want_skipped = _per_cell_kernel_rows(plan, ds)
     got = [
@@ -667,6 +677,64 @@ def test_run_plan_rows_match_per_cell_kernels(tmp_path, sizes, val_size, exact):
         np.testing.assert_allclose(
             [r[3:6] for r in got], [r[3:6] for r in want_rows], rtol=1e-12, atol=0
         )
+
+
+@pytest.mark.parametrize(
+    "analytic, plan_pools",
+    [(dict(bayesian=True), 1), (dict(bayesian=True, infinite_width=False), 0)],
+    ids=["infinite_and_bayesian", "bayesian_only"],
+)
+def test_lambda_b_workers_write_the_store_of_one_core(tmp_path, monkeypatch, analytic, plan_pools):
+    # On two cores the lambda_b values run on a pool; on one they run in this
+    # process, as a single lambda_b does. The stores are byte-identical,
+    # including the GD-map row and the skip records of the singular largest cell.
+    from ntkuq.finite_width import TrainConfig
+
+    lambdas = [0.5, 1.0, 2.0]
+    kw = dict(
+        lambda_b_sweep=lambdas, ensemble_size=2,
+        train_cfg=TrainConfig(eta=0.5, patience=5, max_epochs=10), **analytic,
+    )
+    ensembles = len(lambdas) * 3
+    stores = {}
+    for cores in (2, 1):
+        made = _pool_workers(monkeypatch, cores)
+        plan = _small_plan(tmp_path / str(cores), **kw)
+        result = run_plan(plan, _singular_largest_cell(plan, _small_dataset()))
+        assert made == [cores] * (plan_pools * (cores > 1) + ensembles)
+        assert len(result.skipped) == len(lambdas)
+        store = tmp_path / str(cores) / "store"
+        stores[cores] = {p.name: p.read_bytes() for p in store.iterdir()}
+    assert len(stores[2]) == 6 and stores[2] == stores[1]
+
+
+def test_worker_error_propagates_and_no_worker_outlives_run_plan(tmp_path, monkeypatch):
+    import multiprocessing
+    import threading
+
+    from ntkuq import experiment
+
+    made = _pool_workers(monkeypatch, 2)
+    threads = threading.active_count()
+    plan = _small_plan(tmp_path, lambda_b_sweep=[0.5, 1.0, 2.0])
+    run_plan(plan, _small_dataset())
+    assert made == [2]
+    assert multiprocessing.active_children() == []
+
+    def failing_build(inputs, arch):
+        if arch.lambda_b == 1.0:
+            raise ValueError("no kernel at lambda_b 1")
+        return build_kernel_pair(inputs, arch)
+
+    monkeypatch.setattr(experiment, "build_kernel_pair", failing_build)
+    plan = _small_plan(tmp_path / "failed", lambda_b_sweep=[0.5, 1.0, 2.0])
+    with pytest.raises(ValueError, match="no kernel at lambda_b 1") as raised:
+        run_plan(plan, _small_dataset())
+    assert raised.type is ValueError
+    assert made == [2, 2]
+    assert not (tmp_path / "failed").exists()
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 def test_run_plan_too_small_dataset(tmp_path):

@@ -1,7 +1,5 @@
-from concurrent.futures import ProcessPoolExecutor
 import copy
 from dataclasses import replace
-import json
 import multiprocessing
 import os
 import threading
@@ -28,6 +26,7 @@ from ntkuq import finite_width
 from ntkuq.errors import DivergenceError
 from ntkuq.finite_width import EnsembleRunRecord, _gradients
 from ntkuq.infwidth import _openblas_pools
+from pools import _log, _logged, _pool_workers
 
 
 def _small_arch(depth=3, width=8, d=4, n_out=2):
@@ -439,34 +438,6 @@ def test_ensemble_requires_two_members():
     split = _split(np.random.default_rng(19), arch)
     with pytest.raises(ValueError):
         run_ensemble(split, arch, TrainConfig(eta=0.1), 1, base_seed=0)
-
-
-def _pool_workers(monkeypatch, cores):
-    """Let run_ensemble see `cores` usable cores; returns the worker counts of its pools.
-
-    Only the os attribute is patched: the process's real affinity is unchanged.
-    """
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-    made = []
-
-    def pool(max_workers, mp_context):
-        assert mp_context.get_start_method() == "fork"
-        made.append(max_workers)
-        return ProcessPoolExecutor(max_workers, mp_context)
-
-    monkeypatch.setattr(finite_width, "ProcessPoolExecutor", pool)
-    return made
-
-
-def _log(path, value):
-    """Append value as one JSON line; members in worker processes report through files."""
-    with open(path, "a") as f:
-        f.write(json.dumps(value) + "\n")
-
-
-def _logged(path):
-    """The values _log appended to path, in the order they were written."""
-    return [json.loads(line) for line in path.read_text().splitlines()] if path.exists() else []
 
 
 _ENSEMBLES = {

@@ -559,6 +559,31 @@ def test_posterior_solve_runs_on_one_blas_thread(monkeypatch):
             set_(n)
 
 
+def test_one_blas_thread_leaves_a_count_of_one_alone(monkeypatch):
+    # A forked worker inherits a count of 1 without the pool's server threads;
+    # setting the count, even to 1, would start one. So a pool at 1 sees no
+    # setter call, and a pool at 2 is set to 1 and then back to 2.
+    calls = []
+
+    def fake_pool(name, count):
+        held = [count]
+
+        def set_(n):
+            calls.append((name, n))
+            held[0] = n
+
+        return (lambda: held[0]), set_
+
+    monkeypatch.setattr(infwidth, "_openblas_pools", lambda: (fake_pool("a", 1), fake_pool("b", 2)))
+    with _one_blas_thread():
+        assert calls == [("b", 1)]
+    assert calls == [("b", 1), ("b", 2)]
+    calls.clear()
+    with pytest.raises(RuntimeError), _one_blas_thread():
+        raise RuntimeError
+    assert calls == [("b", 1), ("b", 2)]
+
+
 def test_posterior_bits_do_not_depend_on_blas_threads(monkeypatch):
     # At 150 + 150 points, OpenBLAS's 2-thread GEMM and eigvalsh can round
     # entries differently from 1 thread. The whole solve runs inside the
