@@ -114,8 +114,12 @@ def _cmd_fit(args):
             )
 
         def value(row, col):
-            where = "%s line %d, column %s" % (args.input, reader.line_num, col)
-            return read_setting(where, float, row[col])
+            where = "%s line %d" % (args.input, reader.line_num)
+            # DictReader fills a short row's missing fields with None and keeps a
+            # long row's extra fields under the key None.
+            if None in row or None in row.values():
+                raise ValueError("%s does not have the header's %d fields" % (where, len(columns)))
+            return read_setting("%s, column %s" % (where, col), float, row[col])
 
         pts = [(value(r, args.x_col), value(r, args.y_col)) for r in reader]
     print(json.dumps(dataclasses.asdict(fit_power_law(pts))))

@@ -11,10 +11,10 @@ it. Bayesian cells use K alone, which does not depend on lambda_b, so each
 is computed once per size, at the first lambda_b, and its row, or its skip
 record, repeated for every lambda_b. A plan whose analytic cells are all
 Bayesian builds one kernel. The lambda_b values whose kernels a plan builds
-run on forked worker processes, one kernel per worker at a time, so up to
-min(#lambda_b, usable cores) kernels are alive at once, across processes.
-With one such lambda_b, or one usable core, they run in this process, one
-kernel at a time.
+are mapped by infwidth._fork_map, which decides where they run: on forked
+workers, one kernel per worker at a time, so up to min(#lambda_b, usable
+cores) kernels are alive at once, across processes, or in this process,
+one kernel at a time.
 """
 
 from dataclasses import asdict, dataclass, field, replace
@@ -30,9 +30,7 @@ import numpy as np
 from .errors import IllConditionedError, NtkuqError
 from .datasets import DATASET_SETTINGS, dataset_from_spec, read_setting, split_arrays, split_ids
 from .kernels import ArchitectureConfig, InputSet, build_kernel_pair
-from .infwidth import (
-    _fork_map, _usable_cores, bayesian_posterior, closed_form_posterior, gd_evolve
-)
+from .infwidth import _fork_map, bayesian_posterior, closed_form_posterior, gd_evolve
 from .loss_stats import loss_stats
 from .finite_width import TrainConfig, run_ensemble
 from .scaling import epsilon_flatness_check, fit_power_law
@@ -230,10 +228,10 @@ def run_plan(plan, dataset):
     Rows are built from INFWIDTH_COLUMNS, SUMMARY_COLUMNS and FIT_COLUMNS;
     an ensemble.jsonl record is the cell, width and optimizer, then the
     EnsembleRunRecord's fields, then config_hash. The lambda_b values' kernels
-    and analytic cells run on forked workers (see the module docstring), which
-    needs a POSIX fork; the ensemble cells run here, each on its own pool. An
-    exception in a worker propagates with its type, and every worker has
-    exited when run_plan returns or raises.
+    and analytic cells go through _fork_map (see the module docstring), which
+    may fork and so needs a POSIX fork; the ensemble cells run here, each
+    through run_ensemble. An exception in a unit propagates with its type,
+    and every worker has exited when run_plan returns or raises.
     """
     dataset.check_shape(input_dim=plan.arch.input_dim, n_out=plan.arch.n_out)
     cfg_hash = _config_hash(plan, dataset)
@@ -270,12 +268,8 @@ def run_plan(plan, dataset):
     )
     # The units are independent. The kernel build's bits do not depend on the
     # BLAS thread count and the solves run on one thread anyway, so a unit gives
-    # the same bits on a forked worker's one thread as here. One unit, or one
-    # core, gains nothing from a pool.
-    if len(units) > 1 and _usable_cores() > 1:
-        outcomes = _fork_map(task, units)
-    else:
-        outcomes = [task(unit) for unit in units]
+    # the same bits on a forked worker's one thread as here.
+    outcomes = _fork_map(task, units)
 
     for lam_index, lam_b in enumerate(lambdas):
         arch = replace(plan.arch, lambda_b=lam_b)
@@ -418,15 +412,19 @@ def plan_from_file(path, output_dir=None):
     def get(key, cast, default):
         return read_setting(key, cast, raw.pop(key)) if key in raw else default
 
+    def listed(key, cast, text):
+        # Comma-separated: an empty entry raises, naming key; an empty text is no list.
+        return [read_setting(key, cast, v) for v in text.split(",")] if text else []
+
     def flag(key, default):
         value = raw.pop(key, default)
         if value.lower() not in ("true", "false"):
             raise ValueError("plan key %s must be true or false, not %r" % (key, value))
         return value.lower() == "true"
 
-    if "sizes" not in raw:
+    if not raw.get("sizes"):
         raise ValueError("the plan file sets no sizes")
-    sizes = [read_setting("sizes", int, s) for s in raw.pop("sizes").split(",")]
+    sizes = listed("sizes", int, raw.pop("sizes"))
     file_dir = raw.pop("output_dir", None)
     output_dir = output_dir or file_dir
     if not output_dir:
@@ -455,11 +453,7 @@ def plan_from_file(path, output_dir=None):
         train_cfg=train_cfg if ensemble_size >= 2 else None,
         infinite_width=flag("infinite_width", "true"),
         bayesian=flag("bayesian", "false"),
-        lambda_b_sweep=[
-            read_setting("lambda_b_sweep", float, v)
-            for v in get("lambda_b_sweep", str, "").split(",")
-            if v
-        ],
+        lambda_b_sweep=listed("lambda_b_sweep", float, raw.pop("lambda_b_sweep", "")),
     )
     if raw:
         raise ValueError("unknown plan keys: %s" % ", ".join(sorted(raw)))

@@ -341,18 +341,15 @@ def run_ensemble(split, arch, cfg, n_members, base_seed):
     """Train n_members networks differing only in their init seed.
 
     Every member trains with eta / max(arch.lambda_b, 1), because Theta, and
-    with it the largest stable step, scales with lambda_b. Members train in
-    forked worker processes, one per usable core, and each worker inherits the
-    one-thread BLAS setting, so every record is bit-identical to training the
-    members one after another. This needs a POSIX fork. The BLAS setting is
-    process-wide while the workers start, so a caller should not run
-    run_ensemble from several of its own threads at once. Returns
-    per-member records in seed order, the sample mean/variance of the final
-    test losses and eps, the SE of the mean and the jackknife SEs of std and
-    eps. Diverged members are kept in the records but excluded from moments.
-    A member's exception propagates once the running members finish; the
-    members not yet started are cancelled. Every worker has exited when
-    run_ensemble returns or raises.
+    with it the largest stable step, scales with lambda_b. The members are
+    mapped by _fork_map, which says where they train and how an exception
+    propagates; every record is bit-identical to training the members one
+    after another. Forked workers need a POSIX fork, and the BLAS setting is
+    process-wide while they start, so a caller should not run run_ensemble
+    from several of its own threads at once. Returns per-member records in
+    seed order, the sample mean/variance of the final test losses and eps,
+    the SE of the mean and the jackknife SEs of std and eps. Diverged
+    members are kept in the records but excluded from moments.
     """
     if n_members < 2:
         raise ValueError("an ensemble needs at least 2 members")

@@ -64,13 +64,12 @@ class PredictivePosterior:
         if np.any(neg):
             cov = cov.copy()
             cov[np.diag_indices_from(cov)] = np.where(neg, 0.0, d)
-        # PSD to round-off: dpotrf factors cov + delta I in place, on one BLAS
-        # thread so that no idle pool worker spins into the next stage.
+        # PSD to round-off: dpotrf factors cov + delta I in place. Only its info
+        # is read, so the BLAS thread count it runs on changes no bit.
         delta = max(1e-9 * d.max(initial=0.0), VAR_CLAMP)
         ridged = np.array(cov, order="F")
         ridged[np.diag_indices_from(ridged)] += delta
-        with _one_blas_thread():
-            info = lapack.dpotrf(ridged, overwrite_a=1, clean=0)[1]
+        info = lapack.dpotrf(ridged, overwrite_a=1, clean=0)[1]
         if info or not np.all(np.isfinite(cov)):
             raise ValueError("cov is not finite and positive semi-definite (to %g)" % delta)
         cov.setflags(write=False)
@@ -195,29 +194,29 @@ def _one_blas_thread():
             set_(n)
 
 
-def _usable_cores():
-    """The cores this process may run on; os.cpu_count() where affinity is unknown."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _fork_map(fn, items):
     """[fn(item) for item in items], on min(len(items), usable cores) forked workers.
 
-    The workers are forked inside _one_blas_thread, so each runs its BLAS
-    calls on one thread and fn's results keep the bits of a one-thread call
-    in this process. fn and the items are pickled; fn may be a module-level
-    function or a functools.partial of one. Results come back in input
-    order. An exception in fn propagates, with its type, once the running
-    items finish; the items not yet started are cancelled. Every worker has
-    exited when _fork_map returns or raises.
+    The usable cores are the CPU affinity, or os.cpu_count() where that is
+    unknown. Below two workers, no pool is made: the list is built in this
+    process, outside _one_blas_thread. Otherwise the workers are forked inside
+    _one_blas_thread, so each runs its BLAS calls on one thread and fn's
+    results keep the bits of a one-thread call here; fn (a module-level
+    function or a functools.partial of one) and the items are pickled.
+    Results come back in input order. An exception in fn propagates with its
+    type; in a pool, once the running items finish, and the items not yet
+    started are cancelled. Every worker has exited when _fork_map returns or raises.
     """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    workers = min(len(items), cores)
+    if workers < 2:
+        return [fn(item) for item in items]
     with _one_blas_thread():
         pool = ProcessPoolExecutor(
-            max_workers=min(len(items), _usable_cores()),
-            mp_context=multiprocessing.get_context("fork"),
+            max_workers=workers, mp_context=multiprocessing.get_context("fork")
         )
         try:
             return list(pool.map(fn, items))
@@ -228,19 +227,19 @@ def _fork_map(fn, items):
 def _solve(M_A, rhs, name):
     """M_A^-1 rhs in C order, on the dsytrf factor scipy.linalg.solve(assume_a="sym") makes.
 
-    IllConditionedError unless M_A is finite and LAPACK's 1-norm reciprocal
-    condition estimate on the factor is >= RCOND_LIMIT. Call inside _one_blas_thread.
+    IllConditionedError unless LAPACK's 1-norm reciprocal condition estimate
+    on the factor is >= RCOND_LIMIT; a NaN or infinite M_A fails it through a
+    NaN or zero estimate. Call inside _one_blas_thread.
     """
     n = M_A.shape[0]
     if n == 0:
         raise ValueError("empty training set")
     rcond = 0.0
-    if np.all(np.isfinite(M_A)):
-        norm = np.abs(M_A).sum(axis=0).max()
-        lwork, _ = lapack.dsytrf_lwork(n)
-        ldl, ipiv, info = lapack.dsytrf(M_A, lwork=int(lwork))
-        if info == 0 and norm > 0:
-            rcond, _ = lapack.dsycon(ldl, ipiv, norm)
+    norm = np.abs(M_A).sum(axis=0).max()
+    lwork, _ = lapack.dsytrf_lwork(n)
+    ldl, ipiv, info = lapack.dsytrf(M_A, lwork=int(lwork))
+    if info == 0 and norm > 0:
+        rcond, _ = lapack.dsycon(ldl, ipiv, norm)
     if not rcond >= RCOND_LIMIT:
         raise IllConditionedError(
             "%s 1-norm reciprocal condition estimate %.3g below %g; use the iterative GD path"
@@ -267,7 +266,7 @@ def closed_form_posterior(kp, train_ids, test_ids, labels):
         mean = T.T @ y
         X = T.T @ K_B
         cov = _block(kp.K, te, te) - X - X.T + T.T @ K_A @ T
-    return PredictivePosterior(mean=mean, cov=0.5 * (cov + cov.T), method="closed_form")
+        return PredictivePosterior(mean=mean, cov=0.5 * (cov + cov.T), method="closed_form")
 
 
 def bayesian_posterior(kp, train_ids, test_ids, labels):
@@ -284,7 +283,7 @@ def bayesian_posterior(kp, train_ids, test_ids, labels):
         T = _solve(_block(kp.K, tr, tr), K_B, "K_A")
         mean = T.T @ y
         cov = _block(kp.K, te, te) - K_B.T @ T
-    return PredictivePosterior(mean=mean, cov=0.5 * (cov + cov.T), method="bayesian")
+        return PredictivePosterior(mean=mean, cov=0.5 * (cov + cov.T), method="bayesian")
 
 
 def gd_evolve(kp, train_ids, test_ids, labels, eta=None, *, validation_ids, validation_labels,

@@ -685,8 +685,8 @@ def test_run_plan_rows_match_per_cell_kernels(tmp_path, sizes, val_size, exact):
     ids=["infinite_and_bayesian", "bayesian_only"],
 )
 def test_lambda_b_workers_write_the_store_of_one_core(tmp_path, monkeypatch, analytic, plan_pools):
-    # On two cores the lambda_b values run on a pool; on one they run in this
-    # process, as a single lambda_b does. The stores are byte-identical,
+    # On two cores the lambda_b values and each ensemble run on a pool; on one
+    # they run in this process, with no pool. The stores are byte-identical,
     # including the GD-map row and the skip records of the singular largest cell.
     from ntkuq.finite_width import TrainConfig
 
@@ -701,7 +701,7 @@ def test_lambda_b_workers_write_the_store_of_one_core(tmp_path, monkeypatch, ana
         made = _pool_workers(monkeypatch, cores)
         plan = _small_plan(tmp_path / str(cores), **kw)
         result = run_plan(plan, _singular_largest_cell(plan, _small_dataset()))
-        assert made == [cores] * (plan_pools * (cores > 1) + ensembles)
+        assert made == [cores] * ((plan_pools + ensembles) * (cores > 1))
         assert len(result.skipped) == len(lambdas)
         store = tmp_path / str(cores) / "store"
         stores[cores] = {p.name: p.read_bytes() for p in store.iterdir()}
@@ -1145,6 +1145,19 @@ def test_cli_fit_rejects_non_finite_values(tmp_path, capsys, bad):
     }
 
 
+@pytest.mark.parametrize("row", ["100", "100,0.3,7"], ids=["short", "long"])
+def test_cli_fit_rejects_ragged_rows(tmp_path, capsys, row):
+    # Before, a short row escaped as a TypeError traceback, and a long row's
+    # extra value was dropped.
+    fit_csv = tmp_path / "fitme.csv"
+    fit_csv.write_text("N_D,value\n10,1.0\n%s\n1000,0.1\n" % row)
+    assert cli_main(["fit", "--input", str(fit_csv)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": "%s line 3 does not have the header's 2 fields" % fit_csv,
+    }
+
+
 def test_cli_sweep_fit_emit(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     plan.write_text(
@@ -1211,6 +1224,9 @@ def test_cli_sweep_rejects_unknown_keys_and_flags(tmp_path, capsys):
         ("noise = x", ["noise", "'x'"]),
         ("sizes = 8,x", ["sizes", "'x'"]),
         ("lambda_b_sweep = 0.5,y", ["lambda_b_sweep", "'y'"]),
+        # both lists reject an empty entry, naming the key
+        ("sizes = 8,,16", ["sizes", "''"]),
+        ("lambda_b_sweep = 1,,2,", ["lambda_b_sweep", "''"]),
         # a sweep replaces lambda_b, so the two are not given together
         ("lambda_b = 3\nlambda_b_sweep = 0.5,1", ["lambda_b", "lambda_b_sweep"]),
     ):
@@ -1244,6 +1260,9 @@ def test_cli_sweep_rejects_unknown_keys_and_flags(tmp_path, capsys):
     assert not elsewhere.exists()
     with open(store / "infwidth.csv", newline="") as f:
         assert {r["series"] for r in csv.DictReader(f)} == {"bayesian"}
+    # an empty lambda_b_sweep is no sweep
+    plan.write_text(base + "lambda_b_sweep =\n")
+    assert plan_from_file(plan, str(store))[0].lambda_b_sweep == []
 
 
 def test_cli_sweep_rejects_repeated_plan_key(tmp_path, capsys):

@@ -476,7 +476,8 @@ def test_ensemble_pool_records_equal_serial_training(monkeypatch, name, cores):
     ]
     made = _pool_workers(monkeypatch, cores)
     got = run_ensemble(split, arch, cfg, 4, base_seed=7)
-    assert made == [cores]
+    # On one core the members train in this process, with no pool.
+    assert made == ([cores] if cores > 1 else [])
     assert [r.stop_reason for r in got.records] == stop_reasons
     if name == "patience":
         assert len({r.epochs_run for r in got.records}) == 4
@@ -538,14 +539,14 @@ def test_ensemble_records_come_back_in_seed_order(monkeypatch, tmp_path):
 
 
 def test_ensemble_member_exception_propagates_and_cancels_the_rest(monkeypatch, tmp_path):
-    _pool_workers(monkeypatch, 1)
+    made = _pool_workers(monkeypatch, 2)
     log = tmp_path / "started"
 
     def member(net, split, arch, cfg):
         _log(log, cfg.seed)
         if cfg.seed == 0:
             raise DivergenceError("member 0 failed")
-        time.sleep(0.1)
+        time.sleep(0.2)
         return EnsembleRunRecord(cfg.seed, 1.0, 1.0, 1, "max_epochs")
 
     monkeypatch.setattr(finite_width, "train_with_early_stopping", member)
@@ -555,8 +556,10 @@ def test_ensemble_member_exception_propagates_and_cancels_the_rest(monkeypatch, 
     with pytest.raises(DivergenceError, match="member 0 failed"):
         run_ensemble(split, arch, TrainConfig(eta=0.1), 8, base_seed=0)
     # The members not yet started were cancelled, and no pool thread outlives the call.
+    # The two workers start members 0 and 1 in either order.
+    assert made == [2]
     started = _logged(log)
-    assert started[0] == 0 and len(started) < 8
+    assert 0 in started and len(started) < 8
     assert threading.active_count() == threads
 
 

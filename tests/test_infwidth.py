@@ -31,6 +31,7 @@ from ntkuq.errors import DivergenceError
 from ntkuq.infwidth import RCOND_LIMIT, _one_blas_thread, _openblas_pools, _solve
 
 from oracles import gd_map_limit
+from pools import _pool_workers
 
 
 def _random_instance(seed, n_train=8, n_test=3, d=10, depth=2, n_out=1, lambda_b=1.0):
@@ -582,6 +583,48 @@ def test_one_blas_thread_leaves_a_count_of_one_alone(monkeypatch):
     with pytest.raises(RuntimeError), _one_blas_thread():
         raise RuntimeError
     assert calls == [("b", 1), ("b", 2)]
+
+
+def test_fork_map_runs_inline_below_two_workers(monkeypatch):
+    # No items, one item, or one usable core: the list comprehension runs in
+    # this process, in order, outside the one-thread context, and no pool is
+    # made. fn is a closure, which a pool could not pickle.
+    pools = _openblas_pools()
+    saved = _pool_threads()
+    calls = []
+
+    def fn(item):
+        calls.append((item, os.getpid(), _pool_threads()))
+        return 2 * item
+
+    try:
+        for _, set_ in pools:
+            set_(2)
+        for cores, items in ((2, []), (2, [5]), (1, [3, 1, 2])):
+            made = _pool_workers(monkeypatch, cores)
+            calls.clear()
+            assert infwidth._fork_map(fn, items) == [2 * i for i in items]
+            assert calls == [(i, os.getpid(), [2] * len(pools)) for i in items]
+            assert made == []
+    finally:
+        for (_, set_), n in zip(pools, saved):
+            set_(n)
+
+
+def test_fork_map_inline_exception_propagates_with_its_type(monkeypatch):
+    made = _pool_workers(monkeypatch, 1)
+    seen = []
+
+    def fn(item):
+        seen.append(item)
+        if item == 1:
+            raise DivergenceError("item 1 failed")
+        return item
+
+    with pytest.raises(DivergenceError, match="item 1 failed") as raised:
+        infwidth._fork_map(fn, [0, 1, 2])
+    assert raised.type is DivergenceError
+    assert seen == [0, 1] and made == []
 
 
 def test_posterior_bits_do_not_depend_on_blas_threads(monkeypatch):
